@@ -148,11 +148,13 @@ func BenchmarkRunTelemetryEnabled(b *testing.B) {
 }
 
 // BenchmarkRunInvariantsDisabled is the baseline for the invariant
-// overhead pair: no Recorder attached, exactly as every existing
-// caller runs the simulator. The disabled path must stay within noise
-// (<2%) of the pre-conformance engine since its only cost is one nil
-// check per cycle; compare with BenchmarkRunInvariantsEnabled for the
-// cost of attaching the engine.
+// overhead pair: no Recorder attached. Both benchmarks of the pair
+// feed a generator stream, not a packed trace, so they measure the
+// per-cycle step() body (with skip-ahead armed), not the fused loop
+// that catalog studies run; internal/pipeline's
+// BenchmarkEngineOptimized and BenchmarkEngineOptimizedInvariants are
+// the fused-loop pair. Compare with BenchmarkRunInvariantsEnabled for
+// the cost of attaching the engine to step().
 func BenchmarkRunInvariantsDisabled(b *testing.B) {
 	prof := workload.Representative(workload.SPECInt)
 	gen := workload.MustGenerator(prof)
@@ -168,8 +170,10 @@ func BenchmarkRunInvariantsDisabled(b *testing.B) {
 }
 
 // BenchmarkRunInvariantsEnabled runs the identical workload with the
-// conformance engine attached: every cycle's occupancy/cursor/window
-// laws plus the end-of-run conservation audit.
+// conformance engine attached: every stepped cycle's
+// occupancy/cursor/window laws plus the end-of-run conservation audit.
+// Like its pair it feeds a generator stream, so it measures step(),
+// not the fused loop.
 func BenchmarkRunInvariantsEnabled(b *testing.B) {
 	prof := workload.Representative(workload.SPECInt)
 	gen := workload.MustGenerator(prof)

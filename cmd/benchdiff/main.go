@@ -96,8 +96,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // compare prints one line per comparable metric and returns how many
 // regressed beyond the noise band. Metrics absent from either record
-// (zero-valued) are skipped: trajectories mix sweep and conformance
-// records, which populate different fields.
+// are skipped: trajectories mix sweep and conformance records, which
+// populate different fields, and a tool-specific figure missing from a
+// record (a nil bench.Record pointer) was not measured by it.
 func compare(old, new_ *bench.Record, noise, minPhaseUS float64, w io.Writer) int {
 	regressions := 0
 	higher := func(name string, o, n float64) {
@@ -115,14 +116,14 @@ func compare(old, new_ *bench.Record, noise, minPhaseUS float64, w io.Writer) in
 	if old.RequestsPerSec > 0 && new_.RequestsPerSec > 0 {
 		higher("requests_per_sec", old.RequestsPerSec, new_.RequestsPerSec)
 	}
-	if old.PointsPerSecOff > 0 && new_.PointsPerSecOff > 0 {
-		higher("points_per_sec_invariants_off", old.PointsPerSecOff, new_.PointsPerSecOff)
+	if both(old.PointsPerSecOff, new_.PointsPerSecOff) {
+		higher("points_per_sec_invariants_off", *old.PointsPerSecOff, *new_.PointsPerSecOff)
 	}
-	if old.PointsPerSecOn > 0 && new_.PointsPerSecOn > 0 {
-		higher("points_per_sec_invariants_on", old.PointsPerSecOn, new_.PointsPerSecOn)
+	if both(old.PointsPerSecOn, new_.PointsPerSecOn) {
+		higher("points_per_sec_invariants_on", *old.PointsPerSecOn, *new_.PointsPerSecOn)
 	}
-	if old.PointsPerSecPerCycle > 0 && new_.PointsPerSecPerCycle > 0 {
-		higher("points_per_sec_per_cycle", old.PointsPerSecPerCycle, new_.PointsPerSecPerCycle)
+	if both(old.PointsPerSecPerCycle, new_.PointsPerSecPerCycle) {
+		higher("points_per_sec_per_cycle", *old.PointsPerSecPerCycle, *new_.PointsPerSecPerCycle)
 	}
 	// The skip-ahead engine must stay at or above the per-cycle
 	// reference it replaces. This gate is within the candidate record
@@ -130,27 +131,20 @@ func compare(old, new_ *bench.Record, noise, minPhaseUS float64, w io.Writer) in
 	// machine, so the comparison needs no baseline and any drop beyond
 	// the noise band means the optimized engine regressed below the
 	// baseline stepping.
-	if new_.PointsPerSecPerCycle > 0 && new_.PointsPerSecOff > 0 {
-		rel := new_.PointsPerSecOff/new_.PointsPerSecPerCycle - 1
+	if off, pc := new_.PointsPerSecOff, new_.PointsPerSecPerCycle; both(off, pc) && *off > 0 && *pc > 0 {
+		rel := *off / *pc - 1
 		status := "ok"
 		if rel < -noise {
 			status = "REGRESSION"
 			regressions++
 		}
 		fmt.Fprintf(w, "  %-34s %10.2f vs %10.2f  (%+6.1f%%)  %s\n",
-			"engine_vs_per_cycle", new_.PointsPerSecOff, new_.PointsPerSecPerCycle, rel*100, status)
+			"engine_vs_per_cycle", *off, *pc, rel*100, status)
 	}
 	// Overhead is a fraction near zero, so compare on an absolute band:
 	// growing from 1% to 1.1% is noise, growing past the band is not.
-	if old.PointsPerSecOn > 0 && new_.PointsPerSecOn > 0 {
-		delta := new_.InvariantOverhead - old.InvariantOverhead
-		status := "ok"
-		if delta > noise {
-			status = "REGRESSION"
-			regressions++
-		}
-		fmt.Fprintf(w, "  %-34s %10.4f -> %10.4f  (%+.4f abs)  %s\n",
-			"invariant_overhead_frac", old.InvariantOverhead, new_.InvariantOverhead, delta, status)
+	if both(old.InvariantOverhead, new_.InvariantOverhead) {
+		regressions += absBand(w, "invariant_overhead_frac", *old.InvariantOverhead, *new_.InvariantOverhead, noise)
 	}
 
 	// Ledger shedding is a fraction near zero, so like the invariant
@@ -158,39 +152,29 @@ func compare(old, new_ *bench.Record, noise, minPhaseUS float64, w io.Writer) in
 	// dropping a meaningful share of its canonical events regressed,
 	// whatever the baseline was.
 	if old.LedgerEvents > 0 && new_.LedgerEvents > 0 {
-		delta := new_.LedgerDropFrac - old.LedgerDropFrac
-		status := "ok"
-		if delta > noise {
-			status = "REGRESSION"
-			regressions++
-		}
-		fmt.Fprintf(w, "  %-34s %10.4f -> %10.4f  (%+.4f abs)  %s\n",
-			"ledger_drop_frac", old.LedgerDropFrac, new_.LedgerDropFrac, delta, status)
+		regressions += absBand(w, "ledger_drop_frac", old.LedgerDropFrac, new_.LedgerDropFrac, noise)
 	}
 	// Alloc-guard records carry deterministic near-zero allocation
 	// counts, so like the other near-zero fractions they compare on an
 	// absolute band: any steady-state allocation creeping into the
 	// per-cycle or per-evaluation path regressed, whatever the noise
 	// setting. Gated on both records being allocguard runs so mixed
-	// trajectories skip it.
+	// trajectories skip it, and per figure on both records having
+	// measured it.
 	if old.Tool == "allocguard" && new_.Tool == "allocguard" {
-		for _, m := range [4]struct {
+		for _, m := range [...]struct {
 			name string
-			o, n float64
+			o, n *float64
 		}{
 			{"allocs_per_cycle", old.AllocsPerCycle, new_.AllocsPerCycle},
 			{"allocs_per_cycle_fast", old.AllocsPerCycleFast, new_.AllocsPerCycleFast},
+			{"allocs_per_cycle_fast_observed", old.AllocsPerCycleFastObserved, new_.AllocsPerCycleFastObserved},
 			{"allocs_per_eval", old.AllocsPerEval, new_.AllocsPerEval},
 			{"allocs_per_packed_record", old.AllocsPerPackedRecord, new_.AllocsPerPackedRecord},
 		} {
-			delta := m.n - m.o
-			status := "ok"
-			if delta > noise {
-				status = "REGRESSION"
-				regressions++
+			if both(m.o, m.n) {
+				regressions += absBand(w, m.name, *m.o, *m.n, noise)
 			}
-			fmt.Fprintf(w, "  %-34s %10.4f -> %10.4f  (%+.4f abs)  %s\n",
-				m.name, m.o, m.n, delta, status)
 		}
 	}
 	// Burn rate only regresses when it grows beyond the noise band AND
@@ -237,6 +221,21 @@ func compare(old, new_ *bench.Record, noise, minPhaseUS float64, w io.Writer) in
 		}
 	}
 	return regressions
+}
+
+// both reports whether two records both measured a figure.
+func both[T any](old, new_ *T) bool { return old != nil && new_ != nil }
+
+// absBand prints one comparison line for a near-zero figure judged on
+// an absolute band, and returns 1 if it grew by more than the band.
+func absBand(w io.Writer, name string, old, new_, noise float64) int {
+	delta := new_ - old
+	status, ret := "ok", 0
+	if delta > noise {
+		status, ret = "REGRESSION", 1
+	}
+	fmt.Fprintf(w, "  %-34s %10.4f -> %10.4f  (%+.4f abs)  %s\n", name, old, new_, delta, status)
+	return ret
 }
 
 // report prints one comparison line and returns 1 if it regressed.

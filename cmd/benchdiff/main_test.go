@@ -146,9 +146,9 @@ func TestUsageErrors(t *testing.T) {
 func TestInvariantOverheadAbsoluteBand(t *testing.T) {
 	mk := func(off, on, frac float64) bench.Record {
 		rec := bench.NewRecord("conformance", time.Now())
-		rec.PointsPerSecOff = off
-		rec.PointsPerSecOn = on
-		rec.InvariantOverhead = frac
+		rec.PointsPerSecOff = bench.Ptr(off)
+		rec.PointsPerSecOn = bench.Ptr(on)
+		rec.InvariantOverhead = bench.Ptr(frac)
 		return rec
 	}
 	// Overhead growing 0.01 → 0.05 is within a 0.20 absolute band.
@@ -239,8 +239,8 @@ func TestMaxBurnRateGatesOnlyOverBudget(t *testing.T) {
 func allocRecord(perCycle, perEval float64) bench.Record {
 	rec := bench.NewRecord("allocguard", time.Now())
 	rec.Points = 1
-	rec.AllocsPerCycle = perCycle
-	rec.AllocsPerEval = perEval
+	rec.AllocsPerCycle = bench.Ptr(perCycle)
+	rec.AllocsPerEval = bench.Ptr(perEval)
 	return rec
 }
 
@@ -277,6 +277,43 @@ func TestAllocGuardAbsoluteBand(t *testing.T) {
 	mixed := writeTrajectory(t, "b4.json", record(100, 5000), allocRecord(1, 1))
 	if code, out = runDiff(t, "-baseline", mixed); code != 0 {
 		t.Fatalf("mixed trajectory exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestAllocGuardSkipsUnmeasuredFigures pins the reading of records
+// written before measured zeros were kept: a figure absent from either
+// record was not measured and is not compared, while a figure both
+// records measured still gates.
+func TestAllocGuardSkipsUnmeasuredFigures(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "BENCH_alloc.json")
+	legacy := `{"tool":"allocguard","started_at":"2026-01-01T00:00:00Z","points":0}` + "\n"
+	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := bench.Append(path, allocRecord(1, 0)); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runDiff(t, "-baseline", path)
+	if code != 0 || strings.Contains(out, "allocs_per_cycle") {
+		t.Fatalf("legacy record without alloc figures: exit %d, output:\n%s", code, out)
+	}
+
+	rec := allocRecord(0, 0)
+	rec.AllocsPerCycleFastObserved = bench.Ptr(2.0)
+	if err := bench.Append(path, rec); err != nil {
+		t.Fatal(err)
+	}
+	code, out = runDiff(t, "-baseline", path)
+	if code != 0 || strings.Contains(out, "allocs_per_cycle_fast_observed") {
+		t.Fatalf("figure measured by one record only: exit %d, output:\n%s", code, out)
+	}
+	rec.AllocsPerCycleFastObserved = bench.Ptr(0.0)
+	old := writeTrajectory(t, "b.json", rec)
+	rec.AllocsPerCycleFastObserved = bench.Ptr(1.0)
+	if code, out = runDiff(t, "-baseline", old, "-candidate", writeTrajectory(t, "c.json", rec)); code != 1 ||
+		!strings.Contains(out, "allocs_per_cycle_fast_observed") {
+		t.Fatalf("observed fast-path allocation missed: exit %d, output:\n%s", code, out)
 	}
 }
 

@@ -46,6 +46,12 @@ func PhaseFrom(h *telemetry.Histogram) Phase {
 }
 
 // Record is one run's performance summary.
+//
+// Figures only one tool measures are pointers: nil means "not
+// measured" and is omitted from the JSON line, while a measured zero —
+// zero allocations per cycle, zero violations — is written. Records
+// written before this distinction omit measured zeros too, so readers
+// treat an absent field as not measured.
 type Record struct {
 	Tool      string `json:"tool"`
 	StartedAt string `json:"started_at"`
@@ -78,14 +84,14 @@ type Record struct {
 	// relative cost of attaching. The disabled-mode engine is a single
 	// nil-check branch per simulated cycle, so PointsPerSecOff is
 	// directly comparable against the BENCH_sweep.json trajectory.
-	ChecksPassed    int     `json:"checks_passed,omitempty"`
-	ChecksFailed    int     `json:"checks_failed,omitempty"`
-	Violations      uint64  `json:"violations,omitempty"`
-	PointsPerSecOff float64 `json:"points_per_sec_invariants_off,omitempty"`
-	PointsPerSecOn  float64 `json:"points_per_sec_invariants_on,omitempty"`
+	ChecksPassed    int      `json:"checks_passed,omitempty"`
+	ChecksFailed    *int     `json:"checks_failed,omitempty"`
+	Violations      *uint64  `json:"violations,omitempty"`
+	PointsPerSecOff *float64 `json:"points_per_sec_invariants_off,omitempty"`
+	PointsPerSecOn  *float64 `json:"points_per_sec_invariants_on,omitempty"`
 	// InvariantOverhead is PointsPerSecOff/PointsPerSecOn − 1: the
 	// fractional slowdown of enabling the engine.
-	InvariantOverhead float64 `json:"invariant_overhead_frac,omitempty"`
+	InvariantOverhead *float64 `json:"invariant_overhead_frac,omitempty"`
 
 	// Observability figures (the depthd load harness with the ledger
 	// and SLO engine on): canonical ledger throughput and loss, and the
@@ -108,7 +114,7 @@ type Record struct {
 	// before/after. benchdiff fails the gate when the optimized engine
 	// drops below this baseline: a skip-ahead path slower than the
 	// stepping it replaces has lost its reason to exist.
-	PointsPerSecPerCycle float64 `json:"points_per_sec_per_cycle,omitempty"`
+	PointsPerSecPerCycle *float64 `json:"points_per_sec_per_cycle,omitempty"`
 	// SpeedupVsSeed is PointsPerSec (or PointsPerSecOff for
 	// conformance records) divided by the same figure in the
 	// trajectory's oldest record — cumulative speedup over the life of
@@ -119,19 +125,24 @@ type Record struct {
 	// Alloc-guard figures (the AllocsPerRun guard in internal/power,
 	// tool "allocguard"): steady-state heap allocations per simulated
 	// cycle in pipeline.Run — per-cycle and skip-ahead engines
-	// separately — and per power evaluation in power.Evaluate, plus
-	// per record iterated from a packed trace. Deterministic counts,
-	// not throughput — benchdiff gates them on an absolute band around
+	// separately, the latter also with an invariant recorder attached —
+	// and per power evaluation in power.Evaluate, plus per record
+	// iterated from a packed trace. Deterministic counts, not
+	// throughput — benchdiff gates them on an absolute band around
 	// zero, like the other near-zero fractions.
-	AllocsPerCycle        float64 `json:"allocs_per_cycle,omitempty"`
-	AllocsPerCycleFast    float64 `json:"allocs_per_cycle_fast,omitempty"`
-	AllocsPerEval         float64 `json:"allocs_per_eval,omitempty"`
-	AllocsPerPackedRecord float64 `json:"allocs_per_packed_record,omitempty"`
+	AllocsPerCycle             *float64 `json:"allocs_per_cycle,omitempty"`
+	AllocsPerCycleFast         *float64 `json:"allocs_per_cycle_fast,omitempty"`
+	AllocsPerCycleFastObserved *float64 `json:"allocs_per_cycle_fast_observed,omitempty"`
+	AllocsPerEval              *float64 `json:"allocs_per_eval,omitempty"`
+	AllocsPerPackedRecord      *float64 `json:"allocs_per_packed_record,omitempty"`
 
 	// Phases holds per-phase duration histograms, e.g. "point" for
 	// simulated design points and "point_cached" for cache hits.
 	Phases map[string]Phase `json:"phases,omitempty"`
 }
+
+// Ptr returns a pointer to v, for setting a measured figure.
+func Ptr[T any](v T) *T { return &v }
 
 // SetLedger fills the ledger figures and derives the drop fraction.
 func (r *Record) SetLedger(written, dropped uint64) {

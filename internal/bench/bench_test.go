@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -128,4 +129,26 @@ func splitLines(data []byte) [][]byte {
 		out = append(out, data[start:])
 	}
 	return out
+}
+
+// TestMeasuredZeroIsWritten pins the distinction between a figure
+// measured as zero (written) and one not measured (omitted).
+func TestMeasuredZeroIsWritten(t *testing.T) {
+	rec := NewRecord("allocguard", time.Now())
+	rec.AllocsPerCycle = Ptr(0.0)
+	rec.Violations = Ptr(uint64(0))
+	raw, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"allocs_per_cycle":0`, `"violations":0`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("measured zero %s missing from %s", want, raw)
+		}
+	}
+	for _, absent := range []string{"allocs_per_eval", "checks_failed", "invariant_overhead_frac"} {
+		if strings.Contains(string(raw), absent) {
+			t.Errorf("unmeasured %s written: %s", absent, raw)
+		}
+	}
 }

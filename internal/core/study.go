@@ -100,9 +100,10 @@ type StudyConfig struct {
 	Spans *span.Tracer
 	// Invariants, when non-nil, attaches the runtime conformance
 	// engine to every simulated design point: pipeline conservation
-	// and capacity laws check during simulation, power sanity laws
-	// check during evaluation, and gated power is asserted never to
-	// exceed ungated. Cached points are served without re-checking
+	// and capacity laws check during simulation (on the configured
+	// Engine; the default skip-ahead engine checks them inside its
+	// fused loop), power sanity laws check during evaluation, and gated
+	// power is asserted never to exceed ungated. Cached points are served without re-checking
 	// (the conformance harness re-verifies restored results). The
 	// Recorder is shared across the sweep's workers (it is
 	// concurrency-safe), so violation counts aggregate study-wide.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
 	"repro/internal/pipeline"
 	"repro/internal/workload"
 )
@@ -32,13 +34,14 @@ var engineTierDepths = []int{4, 10, 18, 24}
 // the whole DepthPoint (FO4, measurement payload, both power
 // breakdowns) via equalSweeps, then the serialized ResultData — the
 // paper-facing payload including CycleBudget buckets and stall-episode
-// counts — byte-for-byte after a codec round-trip. The runs attach no
-// invariant recorder on purpose: an attached recorder observes
-// individual cycles, which lawfully forces the auto engine into
-// per-cycle stepping and would make the differential vacuous.
+// counts — byte-for-byte after a codec round-trip. It does so twice:
+// bare (differential/engines), and with an invariant recorder attached
+// to each engine (differential/engines-inv), where the auto engine
+// checks the per-cycle laws inside its skip-ahead loop and the two
+// recorders must also end with the same per-rule violation summary.
 func checkEngineDifferential(opts Options, rep *Report) error {
 	profiles := workload.All()
-	run := func(engine pipeline.EngineKind) ([]*core.Sweep, error) {
+	run := func(engine pipeline.EngineKind, rec *invariant.Recorder) ([]*core.Sweep, error) {
 		warm := opts.Warmup
 		if warm <= 0 {
 			warm = -1 // StudyConfig treats 0 as "use default"
@@ -50,30 +53,59 @@ func checkEngineDifferential(opts Options, rep *Report) error {
 			Parallelism:  opts.Parallelism,
 			Metrics:      opts.Metrics,
 			Engine:       engine,
+			Invariants:   rec,
 		}, profiles)
 	}
-	ref, err := run(pipeline.EnginePerCycle)
-	if err != nil {
-		return fmt.Errorf("difftest: per-cycle catalog: %w", err)
-	}
-	auto, err := run(pipeline.EngineAuto)
-	if err != nil {
-		return fmt.Errorf("difftest: skip-ahead catalog: %w", err)
-	}
-	applySkipaheadDrift(opts.Mutate, auto)
-	for i, sw := range ref {
-		detail, same := equalSweeps(sw, auto[i])
-		if same {
-			detail, same = engineCodecIdentical(sw, auto[i])
+	for _, observed := range []bool{false, true} {
+		name := "differential/engines"
+		var refRec, autoRec *invariant.Recorder
+		if observed {
+			name += "-inv"
+			refRec, autoRec = invariant.New(nil), invariant.New(nil)
 		}
-		rep.add(Check{
-			Name:     "differential/engines",
-			Workload: sw.Workload.Name,
-			Passed:   same,
-			Detail:   detail,
-		})
+		ref, err := run(pipeline.EnginePerCycle, refRec)
+		if err != nil {
+			return fmt.Errorf("difftest: per-cycle catalog: %w", err)
+		}
+		auto, err := run(pipeline.EngineAuto, autoRec)
+		if err != nil {
+			return fmt.Errorf("difftest: skip-ahead catalog: %w", err)
+		}
+		applySkipaheadDrift(opts.Mutate, auto)
+		for i, sw := range ref {
+			detail, same := equalSweeps(sw, auto[i])
+			if same {
+				detail, same = engineCodecIdentical(sw, auto[i])
+			}
+			rep.add(Check{
+				Name:     name,
+				Workload: sw.Workload.Name,
+				Passed:   same,
+				Detail:   detail,
+			})
+		}
+		if observed {
+			rep.add(recordersAgree(name, refRec, autoRec))
+		}
 	}
 	return nil
+}
+
+// recordersAgree compares the per-rule violation summaries the two
+// engines' recorders collected over the catalog. Equal summaries with
+// violations in them still fail: the engines agree on a broken law.
+func recordersAgree(name string, ref, auto *invariant.Recorder) Check {
+	rs, as := ref.Summary(), auto.Summary()
+	c := Check{Name: name, Passed: reflect.DeepEqual(rs, as) && ref.OK()}
+	switch {
+	case !reflect.DeepEqual(rs, as):
+		c.Detail = fmt.Sprintf("violation summaries differ: per-cycle %v, skip-ahead %v", rs, as)
+	case !ref.OK():
+		c.Detail = fmt.Sprintf("both engines recorded %v", rs)
+	default:
+		c.Detail = "both recorders clean"
+	}
+	return c
 }
 
 // engineCodecIdentical compares the two engines' measurement payloads
@@ -114,7 +146,7 @@ func codecBytes(d pipeline.ResultData) ([]byte, error) {
 // applySkipaheadDrift perturbs the skip-ahead engine's first design
 // point the way a span-replication bug would: one extra replicated
 // cycle lands in a cycle-budget bucket with no matching per-cycle
-// event → differential/engines.
+// event → differential/engines and differential/engines-inv.
 func applySkipaheadDrift(active Mutation, auto []*core.Sweep) {
 	if active != MutSkipaheadDrift || len(auto) == 0 || len(auto[0].Points) == 0 {
 		return

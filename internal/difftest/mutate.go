@@ -47,7 +47,7 @@ const (
 	MutBudgetSkew Mutation = "budget-skew"
 	// MutSkipaheadDrift perturbs the skip-ahead engine's side of the
 	// engine bit-identity tier the way a bad span replication would →
-	// differential/engines.
+	// differential/engines and differential/engines-inv.
 	MutSkipaheadDrift Mutation = "skipahead-drift"
 )
 

@@ -20,8 +20,9 @@ const (
 	// EngineAuto (the zero value) uses the optimized engine: packed
 	// trace pre-decode when the source stream is a trace.PackedStream,
 	// and closed-form skip-ahead over provably inert stall spans
-	// whenever no per-cycle observer (tracer, invariants, sampling) is
-	// attached.
+	// unless a cycle tracer is attached or the out-of-order window is
+	// on. Invariant checks and activity sampling run inside the
+	// skip-ahead loop.
 	EngineAuto EngineKind = iota
 	// EnginePerCycle forces reference per-cycle stepping with no
 	// skip-ahead and no packed fast path — the baseline the
@@ -113,8 +114,11 @@ type Config struct {
 	// Invariants, when non-nil, attaches the runtime conformance
 	// engine: per-cycle capacity laws and end-of-run conservation laws
 	// record violations (with cycle/unit context) into the Recorder
-	// and its conformance_violations_total counter. Nil disables the
-	// engine at the cost of one predictable branch per cycle.
+	// and its conformance_violations_total counter. The laws are
+	// checked inside the skip-ahead engine, on every stepped cycle, and
+	// the recorder sees exactly the per-cycle engine's violations. Nil
+	// disables the engine at the cost of one predictable branch per
+	// stepped cycle.
 	//lint:fpexempt observer only: invariant checking never alters simulated results
 	Invariants *invariant.Recorder
 
@@ -129,7 +133,9 @@ type Config struct {
 	// instruction counts every SampleInterval cycles, producing the
 	// cycle-resolved power trace the paper's monitor collects
 	// ("we monitor the usage of each microarchitectural unit of the
-	// processor every cycle", §3). Zero disables sampling.
+	// processor every cycle", §3). Zero disables sampling. Sampling
+	// runs on the skip-ahead engine: stall spans stop at each sample
+	// boundary, so samples match per-cycle stepping exactly.
 	SampleInterval uint64
 
 	// MaxCycles aborts runaway simulations (0 = no limit beyond the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/invariant"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -115,18 +116,24 @@ func TestEngineSkipAheadActuallySkips(t *testing.T) {
 	}
 }
 
-// benchProfile is the benchmark workload: the SPECInt representative,
-// a realistic stall mix.
-func benchEngine(b *testing.B, engine EngineKind, depth, n int) {
+// benchEngine runs the benchmark workload, the SPECInt representative
+// (a realistic stall mix), on the given engine. With observed set, an
+// invariant recorder is attached to every run.
+func benchEngine(b *testing.B, engine EngineKind, observed bool, depth, n int) {
 	prof := workload.Representative(workload.SPECInt)
 	packed, err := trace.PackStream(workload.MustGenerator(prof), n)
 	if err != nil {
 		b.Fatalf("pack: %v", err)
 	}
+	var rec *invariant.Recorder
+	if observed {
+		rec = invariant.New(nil)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := MustDefaultConfig(depth)
 		cfg.Engine = engine
+		cfg.Invariants = rec
 		var src trace.Stream
 		if engine == EnginePerCycle {
 			src = trace.NewLimitStream(workload.MustGenerator(prof), n)
@@ -138,7 +145,15 @@ func benchEngine(b *testing.B, engine EngineKind, depth, n int) {
 			b.Fatalf("run: %v", err)
 		}
 	}
+	if !rec.OK() {
+		b.Fatalf("clean benchmark runs recorded %d violations", rec.Count())
+	}
 }
 
-func BenchmarkEnginePerCycle(b *testing.B)  { benchEngine(b, EnginePerCycle, 10, 10000) }
-func BenchmarkEngineOptimized(b *testing.B) { benchEngine(b, EngineAuto, 10, 10000) }
+func BenchmarkEnginePerCycle(b *testing.B)  { benchEngine(b, EnginePerCycle, false, 10, 10000) }
+func BenchmarkEngineOptimized(b *testing.B) { benchEngine(b, EngineAuto, false, 10, 10000) }
+
+// BenchmarkEngineOptimizedInvariants is BenchmarkEngineOptimized with
+// an invariant recorder attached: the fused loop with its invariant
+// hook armed.
+func BenchmarkEngineOptimizedInvariants(b *testing.B) { benchEngine(b, EngineAuto, true, 10, 10000) }

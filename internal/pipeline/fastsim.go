@@ -13,17 +13,23 @@ import (
 // The fused packed-trace hot loop.
 //
 // When the in-order model runs from a packed trace with skip-ahead
-// armed (no tracer, no invariants, no sampling — nothing observes
-// individual cycles), the engine never needs isa.Instruction values at
-// all: every stage reads the packed struct-of-arrays columns directly
-// by sequence number. Fetch stops materializing records into the
-// window (w.in stays nil on this path), the per-stage method calls and
-// telemetry branches of step() collapse into one straight-line cycle
-// body, and the constant-per-configuration quantities (issue widths,
-// transit times, the FO4→cycle latency conversions) hoist out of the
-// loop. The cycle-by-cycle decision sequence is the per-cycle engine's,
+// armed (no cycle tracer), the engine never needs isa.Instruction
+// values at all: every stage reads the packed struct-of-arrays
+// columns directly by sequence number. Fetch stops materializing
+// records into the window (w.in stays nil on this path), the per-stage
+// method calls and telemetry branches of step() collapse into one
+// straight-line cycle body, and the constant-per-configuration
+// quantities (issue widths, transit times, the FO4→cycle latency
+// conversions) hoist out of the loop. The cycle-by-cycle decision sequence is the per-cycle engine's,
 // statement for statement — results are bit-identical by construction,
 // and the difftest engine bit-identity tier checks that end to end.
+//
+// Observers are nil-checked hooks at the end of each stepped cycle:
+// the invariant hook tests the per-cycle capacity laws with the
+// inlined cycleLawsHold and calls the recording checkCycleInvariants
+// only on a breach, and the sampling hook takes the interval sample on
+// each SampleInterval boundary (skipahead.go explains why replicated
+// cycles need neither).
 //
 // Slot-faithful reads: the shared helpers (writerReady, depWake and
 // the stall classifiers) historically read the class of a window SLOT,
@@ -33,8 +39,8 @@ import (
 // slotClass.
 
 // runFast drives the run loop over the packed columns. Preconditions
-// (established in Run): s.psrc != nil, s.skip (hence in-order, no
-// tracer, no invariants, no sampling).
+// (established in newSim): s.psrc != nil, s.skip (hence in-order, no
+// tracer).
 func (s *sim) runFast() error {
 	t, pos, hi := s.psrc.Trace()
 	s.fc = t.Columns(pos)
@@ -70,6 +76,8 @@ func (s *sim) runFast() error {
 		maxCyc   = s.cfg.MaxCycles
 		wrong    = s.cfg.WrongPathActivity
 		wnum     = w.num
+		inv      = s.inv
+		sampleIv = s.cfg.SampleInterval
 
 		// FO4→cycle conversions are pure functions of the configuration;
 		// precompute the three latencies Access/ICache can report.
@@ -101,6 +109,7 @@ func (s *sim) runFast() error {
 		var active uint32
 		moved := false
 		wasDone := s.traceDone
+		retiredNow, fetched := 0, 0
 
 		// Resolve a pending mispredicted branch.
 		if s.havePending && w.complete[w.idx(s.pendingBranch)] < cyc {
@@ -109,7 +118,6 @@ func (s *sim) runFast() error {
 
 		// Retire.
 		if s.retired < s.decoded {
-			retiredNow := 0
 			for s.retired < s.decoded && retiredNow < width {
 				i := w.idx(s.retired)
 				if w.issuedAt[i] == never || w.complete[i] >= cyc {
@@ -346,7 +354,6 @@ func (s *sim) runFast() error {
 
 		// Fetch.
 		if !s.havePending && !s.traceDone && cyc >= s.redirectHoldTo && cyc >= s.iBusyUntil {
-			fetched := 0
 			for fetched < width {
 				if s.next-s.retired >= wnum {
 					break
@@ -454,8 +461,20 @@ func (s *sim) runFast() error {
 		if occ := int(s.next - s.retired); occ > res.MaxWindowOccupied {
 			res.MaxWindowOccupied = occ
 		}
+		// Observer hooks. A breach takes the out-of-line recording path,
+		// and a breaching cycle is never replicated (per-cycle stepping
+		// would record it again on every frozen cycle); wakeCycle stops
+		// every span short of the next sample boundary.
+		breached := false
+		if inv != nil && !s.cycleLawsHold(fetched, retiredNow) {
+			s.fetchedNow, s.retiredNow = fetched, retiredNow
+			breached = s.checkCycleInvariants()
+		}
+		if sampleIv > 0 && cyc%sampleIv == 0 {
+			s.takeSample()
+		}
 		s.moved = moved
-		s.quiet = !moved && s.traceDone == wasDone
+		s.quiet = !moved && s.traceDone == wasDone && !breached
 		if s.quiet && s.prevWasStall {
 			s.skipAhead()
 		}

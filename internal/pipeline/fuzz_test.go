@@ -2,9 +2,11 @@ package pipeline
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/invariant"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -61,7 +63,8 @@ func randomTrace(rng *rand.Rand, n int) []isa.Instruction {
 // invariants: every instruction retires exactly once, the issue
 // histogram accounts for every cycle and instruction, stall cycles
 // never exceed total cycles, per-unit activity is bounded by the cycle
-// count, and the run is deterministic.
+// count, and the run is deterministic. Each case also runs with
+// observers attached on both engines (see observedEnginesAgree).
 func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(17))}
 	f := func(seed int64, depthPick uint8, oooPick bool) bool {
@@ -117,11 +120,65 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 			t.Logf("non-deterministic")
 			return false
 		}
-		return true
+		return observedEnginesAgree(t, ins, depth, oooPick)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// observedEnginesAgree runs ins with an invariant recorder attached and
+// activity sampling every 7 and every 64 cycles, on the per-cycle
+// reference and on the auto engine fed both a packed and a plain
+// stream. It reports whether every auto run matches the reference in
+// ResultData (samples included) and violation count.
+func observedEnginesAgree(t *testing.T, ins []isa.Instruction, depth int, ooo bool) bool {
+	t.Helper()
+	packed, err := trace.Pack(ins)
+	if err != nil {
+		t.Logf("pack: %v", err)
+		return false
+	}
+	for _, iv := range []uint64{7, 64} {
+		run := func(engine EngineKind, src trace.Stream) (ResultData, uint64, bool) {
+			rec := invariant.New(nil)
+			mc := MustDefaultConfig(depth)
+			mc.OutOfOrder = ooo
+			mc.Engine = engine
+			mc.Invariants = rec
+			mc.SampleInterval = iv
+			r, err := Run(mc, src)
+			if err != nil {
+				t.Logf("depth %d ooo %v interval %d: %v", depth, ooo, iv, err)
+				return ResultData{}, 0, false
+			}
+			return r.Data(), rec.Count(), true
+		}
+		ref, refViolations, ok := run(EnginePerCycle, trace.NewSliceStream(ins))
+		if !ok {
+			return false
+		}
+		if len(ref.Samples) == 0 {
+			t.Logf("depth %d interval %d: no samples over %d cycles", depth, iv, ref.Cycles)
+			return false
+		}
+		for name, src := range map[string]trace.Stream{
+			"packed": packed.Stream(),
+			"plain":  trace.NewSliceStream(ins),
+		} {
+			got, violations, ok := run(EngineAuto, src)
+			if !ok {
+				return false
+			}
+			if violations != refViolations || !reflect.DeepEqual(got, ref) {
+				t.Logf("depth %d ooo %v interval %d, %s stream: observed auto engine differs from per-cycle "+
+					"(violations %d vs %d)\nref: %+v\ngot: %+v", depth, ooo, iv, name,
+					violations, refViolations, ref, got)
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestEngineTimeSanityOnRandomTraces bounds execution time: a trace

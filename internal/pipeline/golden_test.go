@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/invariant"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -123,19 +124,25 @@ func TestGoldenStepTraces(t *testing.T) {
 					}
 				}
 
-				// Skip-ahead run of the same design point: its accounting
-				// must reproduce the reference's line for line. A
-				// skip-ahead bug fails here with the drifted counter named
-				// in the diff.
+				// Skip-ahead run of the same design point, on the fused
+				// engine with an invariant recorder attached: its
+				// accounting must reproduce the reference's line for line
+				// and record no violation. A skip-ahead bug fails here
+				// with the drifted counter named in the diff.
 				packed, err := trace.PackStream(workload.MustGenerator(prof), goldenInstructions)
 				if err != nil {
 					t.Fatal(err)
 				}
 				optCfg := goldenConfig(t, depth)
 				optCfg.Engine = EngineAuto
+				rec := invariant.New(nil)
+				optCfg.Invariants = rec
 				opt, err := Run(optCfg, packed.Stream())
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !rec.OK() {
+					t.Errorf("fused engine recorded %d violations, first: %v", rec.Count(), rec.Violations()[0])
 				}
 				if diff := lineDiff(renderAccounting(ref), renderAccounting(opt)); diff != "" {
 					t.Errorf("skip-ahead accounting drifted from the per-cycle reference:\n%s", diff)

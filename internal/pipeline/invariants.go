@@ -41,22 +41,30 @@ const (
 // processes more instructions than its width, queue occupancies stay
 // within their configured capacities, and the sequence cursors keep
 // their defining order retired ≤ issued ≤ decoded ≤ next within the
-// window capacity.
-func (s *sim) checkCycleInvariants() {
+// window capacity. It records every breached law and reports whether
+// there was one. The reference stepping path calls it every cycle; the
+// fused loop calls it only when cycleLawsHold fails, keeping the fmt
+// record path out of the hot loop.
+func (s *sim) checkCycleInvariants() bool {
 	rec := s.inv
+	n := 0
 	if s.fetchedNow > s.cfg.Width {
+		n++
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitFetch.String(),
 			Detail: fmt.Sprintf("fetched %d > width %d", s.fetchedNow, s.cfg.Width)})
 	}
 	if s.retiredNow > s.cfg.Width {
+		n++
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitRetire.String(),
 			Detail: fmt.Sprintf("retired %d > width %d", s.retiredNow, s.cfg.Width)})
 	}
 	if s.inExecQ < 0 || s.inExecQ > s.cfg.ExecQCap {
+		n++
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitExecQ.String(),
 			Detail: fmt.Sprintf("execution-queue occupancy %d outside [0, %d]", s.inExecQ, s.cfg.ExecQCap)})
 	}
 	if s.agenQ.size > s.cfg.AgenQCap {
+		n++
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitAgenQ.String(),
 			Detail: fmt.Sprintf("address-queue occupancy %d > capacity %d", s.agenQ.size, s.cfg.AgenQCap)})
 	}
@@ -67,14 +75,31 @@ func (s *sim) checkCycleInvariants() {
 		ordered = ordered && s.retired <= s.issued && s.issued <= s.decoded
 	}
 	if !ordered {
+		n++
 		rec.Record(invariant.Violation{Rule: RuleCursors, Cycle: s.cycle,
 			Detail: fmt.Sprintf("cursor order broken: retired=%d issued=%d decoded=%d next=%d",
 				s.retired, s.issued, s.decoded, s.next)})
 	}
 	if occ := s.next - s.retired; occ > uint64(s.cfg.WindowCap) {
+		n++
 		rec.Record(invariant.Violation{Rule: RuleWindow, Cycle: s.cycle,
 			Detail: fmt.Sprintf("in-flight window %d > capacity %d", occ, s.cfg.WindowCap)})
 	}
+	return n > 0
+}
+
+// cycleLawsHold is the fused loop's branch-light form of
+// checkCycleInvariants for the in-order model: true exactly when none
+// of its laws is breached, given the cycle's fetch and retire counts.
+// Small enough to inline into runFast.
+//
+//lint:hotpath per-cycle invariant test on the fused path; must not allocate
+func (s *sim) cycleLawsHold(fetched, retired int) bool {
+	return fetched <= s.cfg.Width && retired <= s.cfg.Width &&
+		s.inExecQ >= 0 && s.inExecQ <= s.cfg.ExecQCap &&
+		s.agenQ.size <= s.cfg.AgenQCap &&
+		s.retired <= s.issued && s.issued <= s.decoded && s.decoded <= s.next &&
+		s.next-s.retired <= uint64(s.cfg.WindowCap)
 }
 
 // checkRunInvariants verifies the engine-internal conservation law at

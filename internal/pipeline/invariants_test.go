@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/invariant"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // TestInvariantEngineCleanOnRealRuns attaches the invariant engine to
@@ -102,5 +104,73 @@ func TestCheckResultInvariantsTripsOnMutations(t *testing.T) {
 				t.Fatalf("expected rule %s, got %+v", tc.rule, rec.Summary())
 			}
 		})
+	}
+}
+
+// TestPlantedBreachSameOnEveryEngine plants a capacity breach that
+// persists through quiet stall spans and requires the skip-ahead
+// engines to record exactly the per-cycle engine's violations: the
+// same rules, first cycle and count. A breaching cycle must not be
+// replicated, since per-cycle stepping records the breach again on
+// every frozen cycle.
+func TestPlantedBreachSameOnEveryEngine(t *testing.T) {
+	plants := map[string]func(*sim){
+		// The execution-queue count starts one below the true
+		// occupancy, so the occupancy law breaks whenever the queue is
+		// empty: every cycle of a mispredict or fill freeze.
+		"execq-underflow": func(s *sim) { s.inExecQ = -1 },
+		// The window law checks a cap below the machine's real window,
+		// so it breaks whenever a stall lets the window fill past it.
+		"window-over-law": func(s *sim) { s.cfg.WindowCap = 24 },
+	}
+	prof := workload.Representative(workload.SPECInt)
+	const n = 4000
+	packed, err := trace.PackStream(workload.MustGenerator(prof), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, plant := range plants {
+		for _, depth := range []int{5, 18} {
+			run := func(engine EngineKind, src trace.Stream) (ResultData, *invariant.Recorder) {
+				t.Helper()
+				rec := invariant.New(nil)
+				cfg := MustDefaultConfig(depth)
+				cfg.Engine = engine
+				cfg.Invariants = rec
+				s := newSim(cfg, src)
+				plant(s)
+				r, err := s.run(time.Now())
+				if err != nil {
+					t.Fatalf("%s depth %d: %v", name, depth, err)
+				}
+				return r.Data(), rec
+			}
+			ref, refRec := run(EnginePerCycle, trace.NewLimitStream(workload.MustGenerator(prof), n))
+			if refRec.Count() < 100 {
+				t.Fatalf("%s depth %d: plant recorded only %d violations; it no longer spans stalls",
+					name, depth, refRec.Count())
+			}
+			first := refRec.Violations()[0]
+			for leg, src := range map[string]trace.Stream{
+				"fused":   packed.Stream(),
+				"stepped": trace.NewLimitStream(workload.MustGenerator(prof), n),
+			} {
+				got, rec := run(EngineAuto, src)
+				if !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s depth %d %s: results differ from per-cycle", name, depth, leg)
+				}
+				if rec.Count() != refRec.Count() || !reflect.DeepEqual(rec.Summary(), refRec.Summary()) {
+					t.Errorf("%s depth %d %s: %v violations, per-cycle %v", name, depth, leg,
+						rec.Summary(), refRec.Summary())
+				}
+				if vs := rec.Violations(); len(vs) > 0 && (vs[0].Rule != first.Rule || vs[0].Cycle != first.Cycle) {
+					t.Errorf("%s depth %d %s: first violation %s at cycle %d, per-cycle %s at %d",
+						name, depth, leg, vs[0].Rule, vs[0].Cycle, first.Rule, first.Cycle)
+				}
+				if !reflect.DeepEqual(rec.Violations(), refRec.Violations()) {
+					t.Errorf("%s depth %d %s: retained violation sequence differs", name, depth, leg)
+				}
+			}
+		}
 	}
 }

@@ -141,6 +141,11 @@ func Run(cfg Config, src trace.Stream) (*Result, error) {
 	}
 	//lint:ignore detrange wall-clock manifest bookkeeping; never feeds a simulated figure
 	start := time.Now()
+	return newSim(cfg, src).run(start)
+}
+
+// newSim builds the engine state for one run of a validated config.
+func newSim(cfg Config, src trace.Stream) *sim {
 	s := &sim{
 		cfg:         cfg,
 		src:         src,
@@ -160,12 +165,11 @@ func Run(cfg Config, src trace.Stream) (*Result, error) {
 		if ps, ok := src.(*trace.PackedStream); ok {
 			s.psrc = ps
 		}
-		// Skip-ahead is exact only when nothing observes individual
-		// in-span cycles: no tracer, no per-cycle invariant checks, no
-		// activity sampling. The out-of-order window re-scans pending
-		// instructions per cycle, so only the in-order model skips.
-		s.skip = !cfg.OutOfOrder && cfg.Invariants == nil &&
-			cfg.Tracer == nil && cfg.SampleInterval == 0
+		// Skip-ahead is exact unless something needs every in-span
+		// cycle: the tracer emits per-cycle events, and the out-of-order
+		// window re-scans pending instructions per cycle. Invariant
+		// checks and activity sampling ride along (see skipahead.go).
+		s.skip = !cfg.OutOfOrder && cfg.Tracer == nil
 	}
 	if cfg.OutOfOrder {
 		s.pending = make([]uint64, 0, cfg.WindowCap)
@@ -175,16 +179,22 @@ func Run(cfg Config, src trace.Stream) (*Result, error) {
 	if cfg.Hierarchy != nil && !cfg.KeepState {
 		cfg.Hierarchy.Reset()
 	}
+	return s
+}
 
+// run simulates to completion and finishes the Result; start is the
+// wall-clock start stamped onto its manifest.
+func (s *sim) run(start time.Time) (*Result, error) {
+	cfg := s.cfg
 	if s.skip && s.psrc != nil {
-		// Fused packed-trace loop: no per-cycle observers are attached,
-		// so the engine reads the packed columns directly and the window
-		// never materializes instruction records.
+		// Fused packed-trace loop: no tracer is attached, so the engine
+		// reads the packed columns directly and the window never
+		// materializes instruction records.
 		if err := s.runFast(); err != nil {
 			return nil, err
 		}
 	} else {
-		s.w.in = make([]isa.Instruction, cfg.WindowCap)
+		s.w.in = make([]isa.Instruction, s.w.num)
 		for {
 			if s.traceDone && s.retired == s.next {
 				break
@@ -244,9 +254,7 @@ func (s *sim) step() {
 	}
 	s.stepFetch()
 	s.recordActivity()
-	if s.inv != nil {
-		s.checkCycleInvariants()
-	}
+	breached := s.inv != nil && s.checkCycleInvariants()
 
 	if occ := int(s.next - s.retired); occ > s.res.MaxWindowOccupied {
 		s.res.MaxWindowOccupied = occ
@@ -260,7 +268,9 @@ func (s *sim) step() {
 	// may have flipped havePending, and the post-resolution state is
 	// itself stable — a quiet cycle's accounting therefore replicates
 	// verbatim until the next time-gated threshold (see skipahead.go).
-	s.quiet = !s.moved && s.traceDone == wasDone
+	// A cycle that breached an invariant is not replicated: per-cycle
+	// stepping would record the breach again on every frozen cycle.
+	s.quiet = !s.moved && s.traceDone == wasDone && !breached
 }
 
 // takeSample appends one interval of the activity trace.

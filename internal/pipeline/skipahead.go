@@ -53,13 +53,26 @@ import (
 // MaxCycles horizons participate as gates, so runaway detection fires
 // on exactly the same cycle as per-cycle stepping.
 //
-// Skip-ahead is disabled (Run never arms s.skip) whenever individual
-// cycles are observable: attached invariants, an armed tracer,
-// activity sampling, or the out-of-order window (which re-scans the
-// pending list per cycle). With it disabled, results are produced by
-// per-cycle stepping alone; with it enabled they are bit-identical by
+// Observers. The per-cycle capacity laws (checkCycleInvariants) read
+// only frozen state — occupancies and cursors — plus the cycle's fetch
+// and retire counts, which are zero on a quiet cycle. A law that holds
+// on the stepped quiet cycle therefore holds on every cycle replicated
+// from it, so the invariant hook runs on stepped cycles only. A
+// stepped cycle that breached a law is not replicated (step and
+// runFast clear quiet), because per-cycle stepping would record the
+// breach again on every frozen cycle; the recorder thus sees exactly
+// the per-cycle violation sequence. Activity sampling is a gate of its
+// own: wakeCycle bounds every span at the next SampleInterval
+// boundary, so takeSample fires on a stepped cycle with the per-cycle
+// contents.
+//
+// Skip-ahead is disabled (Run never arms s.skip) only when individual
+// cycles must be stepped: an armed tracer, which emits per-cycle
+// events, or the out-of-order window, which re-scans the pending list
+// per cycle. With it disabled, results are produced by per-cycle
+// stepping alone; with it enabled they are bit-identical by
 // construction, which the difftest bit-identity tier verifies
-// end-to-end.
+// end-to-end, bare and with a recorder attached.
 
 // skipAhead replicates the just-stepped quiet stall cycle up to (but
 // not including) the earliest cycle at which any time gate fires.
@@ -117,6 +130,11 @@ func (s *sim) wakeCycle() uint64 {
 	wake := s.lastProgress + watchdogCycles + 1
 	if m := s.cfg.MaxCycles; m > 0 && m+1 < wake {
 		wake = m + 1
+	}
+	// Activity sampling: the next sample boundary is stepped, so
+	// takeSample fires on it with the per-cycle engine's contents.
+	if iv := s.cfg.SampleInterval; iv > 0 {
+		wake = boundWake(wake, (t/iv+1)*iv, t)
 	}
 
 	// Front-end hold timers (fetch gates and the icache/frontend

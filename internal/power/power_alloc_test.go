@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/invariant"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/power"
@@ -70,11 +71,14 @@ func runAllocs(t testing.TB, ins []isa.Instruction, depth, n int) (allocs float6
 // differential measurement with the instructions pre-packed and the
 // optimized engine selected, the shape the sweep runner's packed path
 // executes. The per-run PackedStream cursor is a constant that the
-// long-minus-short subtraction cancels.
-func runAllocsFast(t testing.TB, packed *trace.PackedTrace, depth, n int) (allocs float64, cycles uint64) {
+// long-minus-short subtraction cancels. A non-nil rec is attached, so
+// the fused loop also runs its invariant hook; a clean run records
+// nothing, so the recorder itself stays allocation-free.
+func runAllocsFast(t testing.TB, packed *trace.PackedTrace, depth, n int, rec *invariant.Recorder) (allocs float64, cycles uint64) {
 	t.Helper()
 	cfg := allocConfig(depth)
 	cfg.Engine = pipeline.EngineAuto
+	cfg.Invariants = rec
 	run := func() *pipeline.Result {
 		r, err := pipeline.Run(cfg, packed.Slice(0, n))
 		if err != nil {
@@ -128,7 +132,8 @@ func TestZeroAllocsPerCycle(t *testing.T) {
 // state at zero heap allocations the same way: packed pre-decode,
 // span fast-forwarding and the fused per-cycle fallback all run
 // between the two measurements, so any per-cycle or per-span
-// allocation shows up across the extra cycles.
+// allocation shows up across the extra cycles. It runs bare and with
+// an invariant recorder attached (the observed fused loop).
 func TestZeroAllocsPerCycleSkipAhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
@@ -137,18 +142,23 @@ func TestZeroAllocsPerCycleSkipAhead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, depth := range []int{2, 7, 18} {
-		small, smallCycles := runAllocsFast(t, packed, depth, 1000)
-		big, bigCycles := runAllocsFast(t, packed, depth, 6000)
-		if bigCycles <= smallCycles {
-			t.Fatalf("depth %d: degenerate cycle counts %d <= %d", depth, bigCycles, smallCycles)
+	for _, rec := range []*invariant.Recorder{nil, invariant.New(nil)} {
+		for _, depth := range []int{2, 7, 18} {
+			small, smallCycles := runAllocsFast(t, packed, depth, 1000, rec)
+			big, bigCycles := runAllocsFast(t, packed, depth, 6000, rec)
+			if bigCycles <= smallCycles {
+				t.Fatalf("depth %d: degenerate cycle counts %d <= %d", depth, bigCycles, smallCycles)
+			}
+			perCycle := (big - small) / float64(bigCycles-smallCycles)
+			t.Logf("depth %d observed=%v: %.0f allocs @ %d cycles vs %.0f @ %d → %.6f allocs/cycle",
+				depth, rec != nil, small, smallCycles, big, bigCycles, perCycle)
+			if big-small > runEpilogueSlack {
+				t.Errorf("depth %d observed=%v: %g extra allocations across %d extra cycles (%g/cycle), want ≤ %d total",
+					depth, rec != nil, big-small, bigCycles-smallCycles, perCycle, runEpilogueSlack)
+			}
 		}
-		perCycle := (big - small) / float64(bigCycles-smallCycles)
-		t.Logf("depth %d: %.0f allocs @ %d cycles vs %.0f @ %d → %.6f allocs/cycle",
-			depth, small, smallCycles, big, bigCycles, perCycle)
-		if big-small > runEpilogueSlack {
-			t.Errorf("depth %d: %g extra allocations across %d extra cycles (%g/cycle), want ≤ %d total",
-				depth, big-small, bigCycles-smallCycles, perCycle, runEpilogueSlack)
+		if !rec.OK() {
+			t.Errorf("clean runs recorded %d violations", rec.Count())
 		}
 	}
 }
@@ -228,9 +238,13 @@ func TestAllocBenchRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fastSmall, fastSmallCycles := runAllocsFast(t, packed, 10, 1000)
-	fastBig, fastBigCycles := runAllocsFast(t, packed, 10, 6000)
+	fastSmall, fastSmallCycles := runAllocsFast(t, packed, 10, 1000, nil)
+	fastBig, fastBigCycles := runAllocsFast(t, packed, 10, 6000, nil)
 	perCycleFast := (fastBig - fastSmall) / float64(fastBigCycles-fastSmallCycles)
+	inv := invariant.New(nil)
+	obsSmall, obsSmallCycles := runAllocsFast(t, packed, 10, 1000, inv)
+	obsBig, obsBigCycles := runAllocsFast(t, packed, 10, 6000, inv)
+	perCycleFastObserved := (obsBig - obsSmall) / float64(obsBigCycles-obsSmallCycles)
 	perPacked := packedIterationAllocs(t, packed)
 
 	s := trace.NewSliceStream(ins)
@@ -246,14 +260,16 @@ func TestAllocBenchRecord(t *testing.T) {
 	// throughput gate out of allocguard-to-allocguard comparisons.
 	rec := bench.NewRecord("allocguard", start)
 	rec.Workload = "representative-modern-6000"
-	rec.AllocsPerCycle = perCycle
-	rec.AllocsPerCycleFast = perCycleFast
-	rec.AllocsPerEval = perEval
-	rec.AllocsPerPackedRecord = perPacked
+	rec.AllocsPerCycle = bench.Ptr(perCycle)
+	rec.AllocsPerCycleFast = bench.Ptr(perCycleFast)
+	rec.AllocsPerCycleFastObserved = bench.Ptr(perCycleFastObserved)
+	rec.AllocsPerEval = bench.Ptr(perEval)
+	rec.AllocsPerPackedRecord = bench.Ptr(perPacked)
 	rec.Finish(start)
 	if err := bench.Append(*allocBenchOut, rec); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("recorded allocs_per_cycle=%g allocs_per_cycle_fast=%g allocs_per_eval=%g allocs_per_packed_record=%g",
-		perCycle, perCycleFast, perEval, perPacked)
+	t.Logf("recorded allocs_per_cycle=%g allocs_per_cycle_fast=%g allocs_per_cycle_fast_observed=%g "+
+		"allocs_per_eval=%g allocs_per_packed_record=%g",
+		perCycle, perCycleFast, perCycleFastObserved, perEval, perPacked)
 }
