@@ -149,12 +149,11 @@ func BenchmarkRunTelemetryEnabled(b *testing.B) {
 
 // BenchmarkRunInvariantsDisabled is the baseline for the invariant
 // overhead pair: no Recorder attached. Both benchmarks of the pair
-// feed a generator stream, not a packed trace, so they measure the
-// per-cycle step() body (with skip-ahead armed), not the fused loop
-// that catalog studies run; internal/pipeline's
-// BenchmarkEngineOptimized and BenchmarkEngineOptimizedInvariants are
-// the fused-loop pair. Compare with BenchmarkRunInvariantsEnabled for
-// the cost of attaching the engine to step().
+// feed a generator stream, so they include Run's drain of the stream
+// into a packed trace; internal/pipeline's BenchmarkEngineOptimized
+// and BenchmarkEngineOptimizedInvariants are the pre-packed pair.
+// Compare with BenchmarkRunInvariantsEnabled for the cost of attaching
+// the conformance engine.
 func BenchmarkRunInvariantsDisabled(b *testing.B) {
 	prof := workload.Representative(workload.SPECInt)
 	gen := workload.MustGenerator(prof)
@@ -172,8 +171,7 @@ func BenchmarkRunInvariantsDisabled(b *testing.B) {
 // BenchmarkRunInvariantsEnabled runs the identical workload with the
 // conformance engine attached: every stepped cycle's
 // occupancy/cursor/window laws plus the end-of-run conservation audit.
-// Like its pair it feeds a generator stream, so it measures step(),
-// not the fused loop.
+// Like its pair it feeds a generator stream, so it includes the pack.
 func BenchmarkRunInvariantsEnabled(b *testing.B) {
 	prof := workload.Representative(workload.SPECInt)
 	gen := workload.MustGenerator(prof)

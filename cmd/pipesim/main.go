@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/fit"
-	"repro/internal/isa"
 	"repro/internal/logx"
 	"repro/internal/pipeline"
 	"repro/internal/power"
@@ -128,12 +127,18 @@ func main() {
 	wlName, wlSeed := "", uint64(0)
 	switch {
 	case *tapePath != "":
+		// Decode the whole tape up front: a truncated or corrupt tape
+		// is fatal instead of a silently shorter run.
 		f, err := os.Open(*tapePath)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		src = trace.NewLimitStream(trace.NewReader(f), *n)
+		packed, err := trace.ReadAllPacked(f)
+		f.Close()
+		if err != nil {
+			fatal(fmt.Errorf("tape %s: %w", *tapePath, err))
+		}
+		src = packed.Slice(0, *n)
 		wlName = "tape:" + *tapePath
 	default:
 		var prof workload.Profile
@@ -159,25 +164,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Warm the hierarchy, predictor and BTB with the leading
-		// instructions, then measure the steady-state portion.
-		for i := 0; i < *warm; i++ {
-			in, _ := gen.Next()
-			if in.HasMemory() && cfg.Hierarchy != nil {
-				cfg.Hierarchy.Access(in.Addr)
-			}
-			if in.Class == isa.Branch {
-				if cfg.Predictor != nil {
-					cfg.Predictor.Predict(in.PC)
-					cfg.Predictor.Update(in.PC, in.Taken)
-				}
-				if cfg.BTB != nil && in.Taken {
-					cfg.BTB.Lookup(in.PC)
-					cfg.BTB.Update(in.PC, in.Target)
-				}
-			}
-		}
-		cfg.KeepState = true
+		// Warm the attached models with the leading instructions, then
+		// measure the steady-state portion.
+		pipeline.Warm(&cfg, gen, *warm)
 		src = trace.NewLimitStream(gen, *n)
 	}
 

@@ -7,7 +7,7 @@
 // A hotpath marker is a doc-comment directive with a reason:
 //
 //	//lint:hotpath per-cycle; runs once per simulated cycle
-//	func (s *sim) step() { ... }
+//	func (s *sim) loop() error { ... }
 //
 // Inside a marked function the analyzer reports, syntactically and via
 // go/types, the constructs that allocate (or almost always escape):

@@ -191,7 +191,7 @@ func (e *memoEntry) warmFromMemo(mc *pipeline.Config, warmup int) bool {
 	defer sweepMemo.Unlock()
 	d, ok := e.donors[key]
 	if !ok {
-		warm(mc, e.packed.Slice(0, warmup), warmup)
+		pipeline.Warm(mc, e.packed.Slice(0, warmup), warmup)
 		d = &memoDonor{}
 		if mc.Hierarchy != nil {
 			d.hierarchy = mc.Hierarchy.Clone()

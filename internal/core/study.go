@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/fit"
 	"repro/internal/invariant"
-	"repro/internal/isa"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
@@ -58,14 +57,15 @@ type StudyConfig struct {
 	// pipeline.DefaultConfig if nil. It must return a fresh Config
 	// per call (predictor and cache state are per-run).
 	Machine func(depth int) (pipeline.Config, error)
-	// Engine selects the stepping engine for every simulated point.
-	// The default (pipeline.EngineAuto) decodes each workload trace
-	// into packed form once per sweep and simulates every depth from
-	// packed slices with stall-span skip-ahead;
-	// pipeline.EnginePerCycle forces the per-cycle reference engine on
-	// a fresh generator stream, exactly as the pre-packed study ran.
-	// Engines are bit-identical by contract, so the knob never changes
-	// results or result-cache keys — only throughput.
+	// Engine selects skip-ahead for every simulated point. The default
+	// (pipeline.EngineAuto) decodes each workload trace into packed
+	// form once per sweep (through the process-wide memo) and simulates
+	// every depth from packed slices with stall-span skip-ahead;
+	// pipeline.EnginePerCycle runs each point with skip-ahead off on a
+	// fresh generator stream, bypassing the memo, so the differential
+	// tiers check the memo too. The settings are bit-identical by
+	// contract, so the knob never changes results or result-cache keys
+	// — only throughput.
 	Engine pipeline.EngineKind
 	// Parallelism bounds concurrent workload sweeps in RunCatalog;
 	// runtime.NumCPU() if 0.
@@ -100,13 +100,13 @@ type StudyConfig struct {
 	Spans *span.Tracer
 	// Invariants, when non-nil, attaches the runtime conformance
 	// engine to every simulated design point: pipeline conservation
-	// and capacity laws check during simulation (on the configured
-	// Engine; the default skip-ahead engine checks them inside its
-	// fused loop), power sanity laws check during evaluation, and gated
-	// power is asserted never to exceed ungated. Cached points are served without re-checking
-	// (the conformance harness re-verifies restored results). The
-	// Recorder is shared across the sweep's workers (it is
-	// concurrency-safe), so violation counts aggregate study-wide.
+	// and capacity laws check during simulation (on every stepped
+	// cycle of the configured Engine), power sanity laws check during
+	// evaluation, and gated power is asserted never to exceed ungated.
+	// Cached points are served without re-checking (the conformance
+	// harness re-verifies restored results). The Recorder is shared
+	// across the sweep's workers (it is concurrency-safe), so violation
+	// counts aggregate study-wide.
 	Invariants *invariant.Recorder
 	// Parent, when non-nil, nests the run's span tree under an
 	// enclosing span owned by the caller — depthd sets it to the job
@@ -374,11 +374,11 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 				if !ent.warmDefault(&mc, cfg.Warmup) {
 					pipeline.AttachDefaultModels(&mc)
 					if !ent.warmFromMemo(&mc, cfg.Warmup) {
-						warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
+						pipeline.Warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
 					}
 				}
 			} else if !ent.warmFromMemo(&mc, cfg.Warmup) {
-				warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
+				pipeline.Warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
 			}
 			wsp.End()
 		} else if bare {
@@ -397,7 +397,7 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 		}
 		if cfg.Warmup > 0 {
 			wsp := psp.Child("warmup", span.Int("instructions", cfg.Warmup))
-			warm(&mc, gen, cfg.Warmup)
+			pipeline.Warm(&mc, gen, cfg.Warmup)
 			wsp.End()
 		}
 		src = trace.NewLimitStream(gen, cfg.Instructions)
@@ -696,39 +696,6 @@ func MeanDepth(opt []Optimum) float64 {
 		depths[i] = o.Depth
 	}
 	return mathx.Mean(depths)
-}
-
-// warm primes the machine's cache hierarchy and branch predictor with
-// the first n instructions of the stream, then marks the config to
-// keep that state. The measured portion that follows observes steady
-// state rather than a cold start.
-func warm(mc *pipeline.Config, src trace.Stream, n int) {
-	if mc.Hierarchy != nil {
-		mc.Hierarchy.Reset()
-	}
-	for i := 0; i < n; i++ {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		if in.HasMemory() && mc.Hierarchy != nil {
-			mc.Hierarchy.Access(in.Addr)
-		}
-		if mc.ICache != nil {
-			mc.ICache.Access(in.PC)
-		}
-		if in.Class == isa.Branch {
-			if mc.Predictor != nil {
-				mc.Predictor.Predict(in.PC)
-				mc.Predictor.Update(in.PC, in.Taken)
-			}
-			if mc.BTB != nil && in.Taken {
-				mc.BTB.Lookup(in.PC)
-				mc.BTB.Update(in.PC, in.Target)
-			}
-		}
-	}
-	mc.KeepState = true
 }
 
 func abs(a int) int {

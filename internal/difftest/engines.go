@@ -12,11 +12,13 @@ import (
 	"repro/internal/workload"
 )
 
-// The engine bit-identity tier. The packed skip-ahead engine
-// (pipeline.EngineAuto) is a pure throughput optimization: its
-// contract is that no observable output — cycle counts, CycleBudget
-// buckets, stall-episode counters, per-unit activity, power inputs —
-// differs from per-cycle reference stepping by even one bit. This tier
+// The engine bit-identity tier. Skip-ahead (pipeline.EngineAuto, the
+// one cycle body with stall spans fast-forwarded) is a pure throughput
+// optimization: its contract is that no observable output — cycle
+// counts, CycleBudget buckets, stall-episode counters, per-unit
+// activity, power inputs — differs from per-cycle stepping
+// (pipeline.EnginePerCycle, the same body with skip-ahead off) by even
+// one bit. This tier
 // enforces the contract across the full 55-workload catalog rather
 // than the four representative profiles the rest of the matrix uses:
 // skip-ahead legality is argued per stall shape (see the legality

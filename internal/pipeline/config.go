@@ -7,26 +7,27 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/invariant"
+	"repro/internal/isa"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
-// EngineKind selects the stepping engine implementation. The engines
-// are bit-identical by contract — the difftest bit-identity tier runs
-// the full workload catalog through both and requires byte-equal
-// results — so the choice is a throughput knob, never a semantic one.
+// EngineKind selects whether the one cycle body fast-forwards stall
+// spans. Both settings are bit-identical by contract — the difftest
+// bit-identity tier runs the full workload catalog both ways and
+// requires byte-equal results — so the choice is a throughput knob,
+// never a semantic one.
 type EngineKind int
 
 const (
-	// EngineAuto (the zero value) uses the optimized engine: packed
-	// trace pre-decode when the source stream is a trace.PackedStream,
-	// and closed-form skip-ahead over provably inert stall spans
-	// unless a cycle tracer is attached or the out-of-order window is
-	// on. Invariant checks and activity sampling run inside the
-	// skip-ahead loop.
+	// EngineAuto (the zero value) turns on closed-form skip-ahead over
+	// provably inert stall spans, unless a cycle tracer is attached or
+	// the out-of-order window is on. Invariant checks and activity
+	// sampling keep it on.
 	EngineAuto EngineKind = iota
-	// EnginePerCycle forces reference per-cycle stepping with no
-	// skip-ahead and no packed fast path — the baseline the
-	// bit-identity tier diffs the optimized engine against.
+	// EnginePerCycle steps every cycle: the same body with skip-ahead
+	// off, the reference the bit-identity tier diffs EngineAuto
+	// against.
 	EnginePerCycle
 )
 
@@ -115,16 +116,16 @@ type Config struct {
 	// engine: per-cycle capacity laws and end-of-run conservation laws
 	// record violations (with cycle/unit context) into the Recorder
 	// and its conformance_violations_total counter. The laws are
-	// checked inside the skip-ahead engine, on every stepped cycle, and
-	// the recorder sees exactly the per-cycle engine's violations. Nil
+	// checked on every stepped cycle with skip-ahead on, and the
+	// recorder sees exactly the per-cycle run's violations. Nil
 	// disables the engine at the cost of one predictable branch per
 	// stepped cycle.
 	//lint:fpexempt observer only: invariant checking never alters simulated results
 	Invariants *invariant.Recorder
 
-	// Engine selects the stepping engine (EngineAuto: packed
-	// skip-ahead; EnginePerCycle: the per-cycle reference). Both
-	// produce bit-identical Results, so the toggle must not split
+	// Engine selects skip-ahead on (EngineAuto) or off
+	// (EnginePerCycle, the reference). Both produce bit-identical
+	// Results, so the toggle must not split
 	// result-cache keys or run fingerprints.
 	//lint:fpexempt engines are bit-identical by contract (difftest bit-identity tier); a throughput knob must not split cache keys
 	Engine EngineKind
@@ -134,12 +135,13 @@ type Config struct {
 	// cycle-resolved power trace the paper's monitor collects
 	// ("we monitor the usage of each microarchitectural unit of the
 	// processor every cycle", §3). Zero disables sampling. Sampling
-	// runs on the skip-ahead engine: stall spans stop at each sample
-	// boundary, so samples match per-cycle stepping exactly.
+	// keeps skip-ahead on: stall spans stop at each sample boundary, so
+	// samples match per-cycle stepping exactly.
 	SampleInterval uint64
 
-	// MaxCycles aborts runaway simulations (0 = no limit beyond the
-	// built-in forward-progress watchdog).
+	// MaxCycles aborts runaway simulations with ErrMaxCycles (0 = no
+	// limit beyond the built-in forward-progress watchdog, which
+	// returns ErrNoProgress).
 	MaxCycles uint64
 }
 
@@ -188,6 +190,39 @@ func AttachDefaultModels(c *Config) {
 	c.Predictor = branch.NewTournament(12)
 	c.BTB = branch.MustBTB(512, 4)
 	c.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+}
+
+// Warm primes the attached models — cache hierarchy, instruction
+// cache, branch predictor and BTB — with the first n instructions of
+// src (fewer if it ends first), then sets KeepState so the run that
+// follows measures steady state rather than a cold start.
+func Warm(c *Config, src trace.Stream, n int) {
+	if c.Hierarchy != nil {
+		c.Hierarchy.Reset()
+	}
+	for i := 0; i < n; i++ {
+		in, ok := src.Next()
+		if !ok {
+			break
+		}
+		if in.HasMemory() && c.Hierarchy != nil {
+			c.Hierarchy.Access(in.Addr)
+		}
+		if c.ICache != nil {
+			c.ICache.Access(in.PC)
+		}
+		if in.Class == isa.Branch {
+			if c.Predictor != nil {
+				c.Predictor.Predict(in.PC)
+				c.Predictor.Update(in.PC, in.Taken)
+			}
+			if c.BTB != nil && in.Taken {
+				c.BTB.Lookup(in.PC)
+				c.BTB.Update(in.PC, in.Target)
+			}
+		}
+	}
+	c.KeepState = true
 }
 
 // MustDefaultConfig is DefaultConfig for known-good depths.

@@ -10,9 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// runEngines runs the same workload through the per-cycle reference
-// engine (interface stream, no skip-ahead) and the optimized engine
-// (packed stream, skip-ahead armed) and returns both results. mkCfg
+// runEngines runs the same workload with skip-ahead off (the
+// per-cycle reference, fed a plain stream that Run packs) and on (a
+// pre-packed stream) and returns both results. mkCfg
 // must build a fresh config per call: the attached predictor, BTB and
 // hierarchy are stateful, and each engine must start them cold.
 func runEngines(t *testing.T, mkCfg func() Config, prof workload.Profile, n int) (ref, opt *Result) {
@@ -94,12 +94,9 @@ func TestEngineBitIdentityVariants(t *testing.T) {
 	}
 }
 
-// TestEngineSkipAheadActuallySkips guards against silently losing the
-// optimization: on a stall-heavy workload the optimized engine must
-// take strictly fewer step iterations than cycles simulated. Observed
-// indirectly: identical Cycles with both engines is asserted above, so
-// here we only assert the packed stream fast path is wired (the
-// stream is drained fully).
+// TestEngineSkipAheadActuallySkips checks that a run consumes its
+// packed stream in place: the caller's cursor ends drained, so a
+// caller iterating on after the run sees the records as consumed.
 func TestEngineSkipAheadActuallySkips(t *testing.T) {
 	t.Parallel()
 	prof := workload.Representative(workload.SPECFP)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/cache"
 	"repro/internal/invariant"
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -58,13 +59,54 @@ func randomTrace(rng *rand.Rand, n int) []isa.Instruction {
 	return ins
 }
 
+// randomConfig draws a random machine that passes Validate: issue,
+// agen, cache-port and branch widths, queue and window capacities (the
+// window is not always a power of two), the cache and fetch options
+// and an optional instruction cache. It returns a constructor, since
+// the attached models are stateful and every run must start them cold.
+func randomConfig(rng *rand.Rand, depth int, ooo bool) func() Config {
+	for {
+		width := 1 + rng.Intn(6)
+		agenW, ports, brW := 1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(2)
+		agenQ, execQ := 1+rng.Intn(12), 1+rng.Intn(24)
+		window := 512
+		if rng.Intn(2) == 0 {
+			window = execQ + width + rng.Intn(64) - 2 // may undershoot: Validate rejects
+		}
+		nonBlock, redirect, wrong := rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0
+		btbBubbles := rng.Intn(5)
+		icacheKB, icacheFO4 := 0, 20+float64(rng.Intn(100))
+		if rng.Intn(2) == 0 {
+			icacheKB = 2 << rng.Intn(4)
+		}
+		mk := func() Config {
+			c := MustDefaultConfig(depth)
+			c.OutOfOrder = ooo
+			c.Width, c.AgenWidth, c.CachePorts, c.BranchWidth = width, agenW, ports, brW
+			c.AgenQCap, c.ExecQCap, c.WindowCap = agenQ, execQ, window
+			c.NonBlockingCache, c.RedirectBubble, c.WrongPathActivity = nonBlock, redirect, wrong
+			c.BTBMissBubbles = btbBubbles
+			if icacheKB > 0 {
+				c.ICache = cache.MustNew(cache.Config{SizeBytes: icacheKB << 10, LineBytes: 64, Ways: 2})
+				c.ICacheMissFO4 = icacheFO4
+			}
+			return c
+		}
+		if c := mk(); c.Validate() == nil {
+			return mk
+		}
+	}
+}
+
 // TestEngineInvariantsOnRandomTraces drives both execution disciplines
-// over random traces at random depths and checks the engine's global
-// invariants: every instruction retires exactly once, the issue
-// histogram accounts for every cycle and instruction, stall cycles
-// never exceed total cycles, per-unit activity is bounded by the cycle
-// count, and the run is deterministic. Each case also runs with
-// observers attached on both engines (see observedEnginesAgree).
+// over random traces on random valid machines at random depths and
+// checks the engine's global invariants: every instruction retires
+// exactly once, the cycle budget and the issue histogram account for
+// every cycle and instruction, stall cycles never exceed total cycles,
+// per-unit activity is bounded by the cycle count, and the run is
+// deterministic. Each case then runs skip-ahead on, off and with a
+// tracer attached, which must agree, and with observers attached (see
+// observedEnginesAgree).
 func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(17))}
 	f := func(seed int64, depthPick uint8, oooPick bool) bool {
@@ -72,11 +114,10 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 		depth := MinSimDepth + int(depthPick)%(25-MinSimDepth+1)
 		n := 300 + rng.Intn(900)
 		ins := randomTrace(rng, n)
+		mk := randomConfig(rng, depth, oooPick)
 
 		run := func() *Result {
-			mc := MustDefaultConfig(depth)
-			mc.OutOfOrder = oooPick
-			r, err := Run(mc, trace.NewSliceStream(ins))
+			r, err := Run(mk(), trace.NewSliceStream(ins))
 			if err != nil {
 				t.Logf("seed %d depth %d ooo %v: %v", seed, depth, oooPick, err)
 				return nil
@@ -89,6 +130,10 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 		}
 		if r.Instructions != uint64(n) {
 			t.Logf("retired %d of %d", r.Instructions, n)
+			return false
+		}
+		if r.BudgetTotal() != r.Cycles {
+			t.Logf("cycle budget sums to %d, run has %d cycles", r.BudgetTotal(), r.Cycles)
 			return false
 		}
 		var histSum, weighted uint64
@@ -110,7 +155,7 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 				return false
 			}
 		}
-		if r.MaxWindowOccupied > MustDefaultConfig(depth).WindowCap {
+		if r.MaxWindowOccupied > mk().WindowCap {
 			t.Logf("window overflow")
 			return false
 		}
@@ -120,11 +165,54 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 			t.Logf("non-deterministic")
 			return false
 		}
-		return observedEnginesAgree(t, ins, depth, oooPick)
+		return enginesAgree(t, ins, mk) && observedEnginesAgree(t, ins, mk)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
 	}
+}
+
+// enginesAgree runs ins with skip-ahead on (packed input), off, and on
+// with a tracer attached (which disarms it), and reports whether all
+// three produce the same ResultData.
+func enginesAgree(t *testing.T, ins []isa.Instruction, mk func() Config) bool {
+	t.Helper()
+	packed, err := trace.Pack(ins)
+	if err != nil {
+		t.Logf("pack: %v", err)
+		return false
+	}
+	run := func(engine EngineKind, traced bool, src trace.Stream) (ResultData, bool) {
+		mc := mk()
+		mc.Engine = engine
+		if traced {
+			mc.Tracer = NewTracer(1 << 10)
+		}
+		r, err := Run(mc, src)
+		if err != nil {
+			t.Logf("engine %d traced %v: %v", engine, traced, err)
+			return ResultData{}, false
+		}
+		return r.Data(), true
+	}
+	ref, ok := run(EnginePerCycle, false, trace.NewSliceStream(ins))
+	if !ok {
+		return false
+	}
+	for name, got := range map[string]func() (ResultData, bool){
+		"skip-on": func() (ResultData, bool) { return run(EngineAuto, false, packed.Stream()) },
+		"tracer":  func() (ResultData, bool) { return run(EngineAuto, true, trace.NewSliceStream(ins)) },
+	} {
+		d, ok := got()
+		if !ok {
+			return false
+		}
+		if !reflect.DeepEqual(d, ref) {
+			t.Logf("%s run differs from skip-off\nref: %+v\ngot: %+v", name, ref, d)
+			return false
+		}
+	}
+	return true
 }
 
 // observedEnginesAgree runs ins with an invariant recorder attached and
@@ -132,7 +220,7 @@ func TestEngineInvariantsOnRandomTraces(t *testing.T) {
 // reference and on the auto engine fed both a packed and a plain
 // stream. It reports whether every auto run matches the reference in
 // ResultData (samples included) and violation count.
-func observedEnginesAgree(t *testing.T, ins []isa.Instruction, depth int, ooo bool) bool {
+func observedEnginesAgree(t *testing.T, ins []isa.Instruction, mk func() Config) bool {
 	t.Helper()
 	packed, err := trace.Pack(ins)
 	if err != nil {
@@ -142,14 +230,13 @@ func observedEnginesAgree(t *testing.T, ins []isa.Instruction, depth int, ooo bo
 	for _, iv := range []uint64{7, 64} {
 		run := func(engine EngineKind, src trace.Stream) (ResultData, uint64, bool) {
 			rec := invariant.New(nil)
-			mc := MustDefaultConfig(depth)
-			mc.OutOfOrder = ooo
+			mc := mk()
 			mc.Engine = engine
 			mc.Invariants = rec
 			mc.SampleInterval = iv
 			r, err := Run(mc, src)
 			if err != nil {
-				t.Logf("depth %d ooo %v interval %d: %v", depth, ooo, iv, err)
+				t.Logf("interval %d: %v", iv, err)
 				return ResultData{}, 0, false
 			}
 			return r.Data(), rec.Count(), true
@@ -159,7 +246,11 @@ func observedEnginesAgree(t *testing.T, ins []isa.Instruction, depth int, ooo bo
 			return false
 		}
 		if len(ref.Samples) == 0 {
-			t.Logf("depth %d interval %d: no samples over %d cycles", depth, iv, ref.Cycles)
+			t.Logf("interval %d: no samples over %d cycles", iv, ref.Cycles)
+			return false
+		}
+		if refViolations != 0 {
+			t.Logf("interval %d: clean run recorded %d violations", iv, refViolations)
 			return false
 		}
 		for name, src := range map[string]trace.Stream{
@@ -171,8 +262,8 @@ func observedEnginesAgree(t *testing.T, ins []isa.Instruction, depth int, ooo bo
 				return false
 			}
 			if violations != refViolations || !reflect.DeepEqual(got, ref) {
-				t.Logf("depth %d ooo %v interval %d, %s stream: observed auto engine differs from per-cycle "+
-					"(violations %d vs %d)\nref: %+v\ngot: %+v", depth, ooo, iv, name,
+				t.Logf("interval %d, %s stream: observed auto engine differs from per-cycle "+
+					"(violations %d vs %d)\nref: %+v\ngot: %+v", iv, name,
 					violations, refViolations, ref, got)
 				return false
 			}

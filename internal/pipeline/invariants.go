@@ -38,25 +38,25 @@ const (
 )
 
 // checkCycleInvariants verifies the per-cycle capacity laws: no stage
-// processes more instructions than its width, queue occupancies stay
-// within their configured capacities, and the sequence cursors keep
-// their defining order retired ≤ issued ≤ decoded ≤ next within the
-// window capacity. It records every breached law and reports whether
-// there was one. The reference stepping path calls it every cycle; the
-// fused loop calls it only when cycleLawsHold fails, keeping the fmt
+// processes more instructions than its width (fetched and retired are
+// the cycle's counts), queue occupancies stay within their configured
+// capacities, and the sequence cursors keep their defining order
+// retired ≤ issued ≤ decoded ≤ next within the window capacity. It
+// records every breached law and reports whether there was one. The
+// cycle body calls it only when cycleLawsHold fails, keeping the fmt
 // record path out of the hot loop.
-func (s *sim) checkCycleInvariants() bool {
+func (s *sim) checkCycleInvariants(fetched, retired int) bool {
 	rec := s.inv
 	n := 0
-	if s.fetchedNow > s.cfg.Width {
+	if fetched > s.cfg.Width {
 		n++
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitFetch.String(),
-			Detail: fmt.Sprintf("fetched %d > width %d", s.fetchedNow, s.cfg.Width)})
+			Detail: fmt.Sprintf("fetched %d > width %d", fetched, s.cfg.Width)})
 	}
-	if s.retiredNow > s.cfg.Width {
+	if retired > s.cfg.Width {
 		n++
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitRetire.String(),
-			Detail: fmt.Sprintf("retired %d > width %d", s.retiredNow, s.cfg.Width)})
+			Detail: fmt.Sprintf("retired %d > width %d", retired, s.cfg.Width)})
 	}
 	if s.inExecQ < 0 || s.inExecQ > s.cfg.ExecQCap {
 		n++
@@ -68,13 +68,7 @@ func (s *sim) checkCycleInvariants() bool {
 		rec.Record(invariant.Violation{Rule: RuleOccupancy, Cycle: s.cycle, Unit: UnitAgenQ.String(),
 			Detail: fmt.Sprintf("address-queue occupancy %d > capacity %d", s.agenQ.size, s.cfg.AgenQCap)})
 	}
-	// The issued cursor is a program-order watermark only in-order;
-	// the out-of-order model issues from the pending window instead.
-	ordered := s.retired <= s.decoded && s.decoded <= s.next
-	if !s.cfg.OutOfOrder {
-		ordered = ordered && s.retired <= s.issued && s.issued <= s.decoded
-	}
-	if !ordered {
+	if !s.cursorsOrdered() {
 		n++
 		rec.Record(invariant.Violation{Rule: RuleCursors, Cycle: s.cycle,
 			Detail: fmt.Sprintf("cursor order broken: retired=%d issued=%d decoded=%d next=%d",
@@ -88,17 +82,25 @@ func (s *sim) checkCycleInvariants() bool {
 	return n > 0
 }
 
-// cycleLawsHold is the fused loop's branch-light form of
-// checkCycleInvariants for the in-order model: true exactly when none
-// of its laws is breached, given the cycle's fetch and retire counts.
-// Small enough to inline into runFast.
+// cursorsOrdered reports whether retired ≤ issued ≤ decoded ≤ next.
+// The issued cursor is a program-order watermark only in-order; the
+// out-of-order model issues from the pending window instead.
 //
-//lint:hotpath per-cycle invariant test on the fused path; must not allocate
+//lint:hotpath per-cycle invariant test; must not allocate
+func (s *sim) cursorsOrdered() bool {
+	return s.retired <= s.decoded && s.decoded <= s.next &&
+		(s.cfg.OutOfOrder || s.retired <= s.issued && s.issued <= s.decoded)
+}
+
+// cycleLawsHold is the branch-light form of checkCycleInvariants: true
+// exactly when none of its laws is breached, given the cycle's fetch
+// and retire counts.
+//
+//lint:hotpath per-cycle invariant test; must not allocate
 func (s *sim) cycleLawsHold(fetched, retired int) bool {
 	return fetched <= s.cfg.Width && retired <= s.cfg.Width &&
 		s.inExecQ >= 0 && s.inExecQ <= s.cfg.ExecQCap &&
-		s.agenQ.size <= s.cfg.AgenQCap &&
-		s.retired <= s.issued && s.issued <= s.decoded && s.decoded <= s.next &&
+		s.agenQ.size <= s.cfg.AgenQCap && s.cursorsOrdered() &&
 		s.next-s.retired <= uint64(s.cfg.WindowCap)
 }
 

@@ -137,7 +137,11 @@ func TestPlantedBreachSameOnEveryEngine(t *testing.T) {
 				cfg := MustDefaultConfig(depth)
 				cfg.Engine = engine
 				cfg.Invariants = rec
-				s := newSim(cfg, src)
+				ps, err := packInput(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newSim(cfg, ps)
 				plant(s)
 				r, err := s.run(time.Now())
 				if err != nil {
@@ -152,8 +156,8 @@ func TestPlantedBreachSameOnEveryEngine(t *testing.T) {
 			}
 			first := refRec.Violations()[0]
 			for leg, src := range map[string]trace.Stream{
-				"fused":   packed.Stream(),
-				"stepped": trace.NewLimitStream(workload.MustGenerator(prof), n),
+				"packed": packed.Stream(),
+				"plain":  trace.NewLimitStream(workload.MustGenerator(prof), n),
 			} {
 				got, rec := run(EngineAuto, src)
 				if !reflect.DeepEqual(got, ref) {

@@ -185,25 +185,3 @@ func (r *Result) PublishAttribution(reg *telemetry.Registry) {
 			Set(r.BudgetFraction(bucket))
 	}
 }
-
-// traceGate emits the per-cycle clock-gate event: a bitmask of the
-// units whose latches switched this cycle.
-//
-//lint:hotpath per-cycle gate trace emission when tracing is armed; must not allocate
-func (s *sim) traceGate() {
-	s.tel.Emit(telemetry.Event{Cycle: s.cycle, Kind: telemetry.KindGate, Arg: uint64(s.active)})
-}
-
-// traceInstr emits one instruction-lifecycle event (fetch, issue or
-// retire).
-//
-//lint:hotpath per-instruction trace emission when tracing is armed; must not allocate
-func (s *sim) traceInstr(kind telemetry.EventKind, seq uint64, in *isa.Instruction) {
-	s.tel.Emit(telemetry.Event{
-		Cycle:  s.cycle,
-		Kind:   kind,
-		Arg:    seq,
-		PC:     in.PC,
-		Detail: uint8(in.Class),
-	})
-}

@@ -26,27 +26,26 @@ const watchdogCycles = 200000
 // scale with the E-pipe depth (see the RR case in issue).
 const intLat = 1
 
+// Run aborts. Both are returned wrapped with the cycle on which the run
+// stopped; test with errors.Is.
+var (
+	// ErrMaxCycles: the run exceeded Config.MaxCycles.
+	ErrMaxCycles = errors.New("pipeline: exceeded MaxCycles")
+	// ErrNoProgress: no instruction was fetched or retired for
+	// watchdogCycles cycles (an engine deadlock).
+	ErrNoProgress = errors.New("pipeline: no forward progress (engine deadlock)")
+)
+
 // sim is the engine state for one run. The per-slot and per-unit
 // state lives in flat struct-of-arrays (window, pipe in unit.go): the
 // hot loop indexes contiguous arrays instead of chasing per-entry
-// pointers.
+// pointers. Instruction fields are never copied into the window: every
+// stage reads the packed trace columns fc by sequence number.
 type sim struct {
-	cfg Config
-	src trace.Stream
-	res Result
-
-	// psrc is the packed fast path: when the source stream is a
-	// trace.PackedStream (and the per-cycle reference engine is not
-	// forced), fetch advances it through a concrete, inlinable call
-	// instead of the Stream interface.
+	cfg  Config
+	res  Result
 	psrc *trace.PackedStream
-
-	// Fused-loop state (fastsim.go): when fast is set the run executes
-	// runFast, the window carries no record copies (w.in stays nil) and
-	// all instruction fields are read from the packed columns fc,
-	// indexed by sequence number.
 	fc   trace.Columns
-	fast bool
 
 	// w is the in-flight window from decode entry to retirement.
 	w window
@@ -95,14 +94,9 @@ type sim struct {
 	traceDone    bool
 	lastProgress uint64
 
-	// Telemetry: tel mirrors cfg.Tracer; traceCycle caches whether the
-	// current cycle is recorded (nil tracer or sampled-out cycles make
-	// every emission site a single predictable branch).
-	tel        *telemetry.Tracer
-	traceCycle bool
-
-	// inv mirrors cfg.Invariants; nil disables every invariant check
-	// site behind a single branch.
+	// Observers: tel mirrors cfg.Tracer and inv cfg.Invariants; nil
+	// disables every emission or check site behind a single branch.
+	tel *telemetry.Tracer
 	inv *invariant.Recorder
 
 	// Interval-sampling state: the cumulative counters at the last
@@ -111,44 +105,69 @@ type sim struct {
 	lastSampleOps    [NumUnits]uint64
 	lastSampleRet    uint64
 
-	// Per-cycle flags for stall-episode and activity accounting.
-	// active is a bitmask of units whose latches switched this cycle
-	// (bit u = Unit u): the stages OR their bits in as they move, and
-	// recordActivity folds in the in-transit and busy-until latch
-	// activity. moved records whether any machine state changed at all
-	// — the quiet-cycle test for skip-ahead.
+	// Stall-episode and activity state of the last stepped cycle.
+	// active is a bitmask of units whose latches switched (bit u =
+	// Unit u).
 	prevStall    StallCause
 	prevWasStall bool
 	active       uint32
-	moved        bool
-	fetchedNow   int
-	retiredNow   int
 
 	// Skip-ahead state (see skipahead.go): skip arms span
-	// fast-forwarding; quiet marks a cycle in which no machine state
-	// moved; lastBucket is the budget bucket of the last stall cycle,
-	// for closed-form replication.
+	// fast-forwarding; lastBucket is the budget bucket of the last
+	// stall cycle, for closed-form replication.
 	skip       bool
-	quiet      bool
 	lastBucket CycleBucket
 }
 
 // Run simulates the stream to completion on the configured machine
-// and returns the measured Result.
+// and returns the measured Result. A *trace.PackedStream is simulated
+// in place; any other stream, which must end, is first drained into a
+// packed trace, so an invalid record is a returned error.
 func Run(cfg Config, src trace.Stream) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	//lint:ignore detrange wall-clock manifest bookkeeping; never feeds a simulated figure
 	start := time.Now()
-	return newSim(cfg, src).run(start)
+	ps, err := packInput(src)
+	if err != nil {
+		return nil, err
+	}
+	return newSim(cfg, ps).run(start)
+}
+
+// packInput returns src as a packed cursor, draining any stream that is
+// not one already. A source that reports a decode error through Err
+// (a trace.Reader) fails the run instead of simulating a prefix.
+func packInput(src trace.Stream) (*trace.PackedStream, error) {
+	if ps, ok := src.(*trace.PackedStream); ok {
+		return ps, nil
+	}
+	// Size the trace from the stream's length when it reports one,
+	// capped so a loose bound over a short source reserves little.
+	n := 0
+	if l, ok := src.(interface{ Len() int }); ok {
+		n = min(l.Len(), 1<<16)
+	}
+	p := trace.NewPackedTrace(n)
+	for in, ok := src.Next(); ok; in, ok = src.Next() {
+		if err := p.Append(in); err != nil {
+			return nil, fmt.Errorf("pipeline: %w", err)
+		}
+	}
+	if e, ok := src.(interface{ Err() error }); ok && e.Err() != nil {
+		return nil, fmt.Errorf("pipeline: %w", e.Err())
+	}
+	return p.Stream(), nil
 }
 
 // newSim builds the engine state for one run of a validated config.
-func newSim(cfg Config, src trace.Stream) *sim {
+func newSim(cfg Config, src *trace.PackedStream) *sim {
+	t, pos, _ := src.Trace()
 	s := &sim{
 		cfg:         cfg,
-		src:         src,
+		psrc:        src,
+		fc:          t.Columns(pos),
 		w:           makeWindow(cfg.WindowCap),
 		decodePipe:  makePipe(max(1, cfg.Plan.Decode) * cfg.Width),
 		agenQ:       makePipe(cfg.AgenQCap),
@@ -160,16 +179,12 @@ func newSim(cfg Config, src trace.Stream) *sim {
 		execLat:     uint64(max(1, cfg.Plan.Exec)),
 		tel:         cfg.Tracer,
 		inv:         cfg.Invariants,
-	}
-	if cfg.Engine != EnginePerCycle {
-		if ps, ok := src.(*trace.PackedStream); ok {
-			s.psrc = ps
-		}
 		// Skip-ahead is exact unless something needs every in-span
 		// cycle: the tracer emits per-cycle events, and the out-of-order
 		// window re-scans pending instructions per cycle. Invariant
 		// checks and activity sampling ride along (see skipahead.go).
-		s.skip = !cfg.OutOfOrder && cfg.Tracer == nil
+		// EnginePerCycle is the same body with skip-ahead off.
+		skip: cfg.Engine != EnginePerCycle && !cfg.OutOfOrder && cfg.Tracer == nil,
 	}
 	if cfg.OutOfOrder {
 		s.pending = make([]uint64, 0, cfg.WindowCap)
@@ -185,92 +200,552 @@ func newSim(cfg Config, src trace.Stream) *sim {
 // run simulates to completion and finishes the Result; start is the
 // wall-clock start stamped onto its manifest.
 func (s *sim) run(start time.Time) (*Result, error) {
-	cfg := s.cfg
-	if s.skip && s.psrc != nil {
-		// Fused packed-trace loop: no tracer is attached, so the engine
-		// reads the packed columns directly and the window never
-		// materializes instruction records.
-		if err := s.runFast(); err != nil {
-			return nil, err
-		}
-	} else {
-		s.w.in = make([]isa.Instruction, s.w.num)
-		for {
-			if s.traceDone && s.retired == s.next {
-				break
-			}
-			s.cycle++
-			if cfg.MaxCycles > 0 && s.cycle > cfg.MaxCycles {
-				return nil, fmt.Errorf("pipeline: exceeded MaxCycles=%d", cfg.MaxCycles)
-			}
-			if s.cycle-s.lastProgress > watchdogCycles {
-				return nil, errors.New("pipeline: no forward progress (engine deadlock)")
-			}
-			s.step()
-			if s.skip && s.quiet && s.prevWasStall {
-				s.skipAhead()
-			}
-		}
+	err := s.loop()
+	// Keep the external cursor consistent with the records consumed, for
+	// callers that continue iterating the stream after the run.
+	s.psrc.Skip(int(s.next))
+	if err != nil {
+		return nil, fmt.Errorf("%w at cycle %d", err, s.cycle)
 	}
 	s.res.Cycles = s.cycle
 	if s.inv != nil {
 		s.checkRunInvariants()
 	}
-	s.res.Manifest = cfg.manifest()
+	s.res.Manifest = s.cfg.manifest()
 	s.res.Manifest.Finish(start)
-	if cfg.Metrics != nil {
-		s.res.PublishMetrics(cfg.Metrics)
+	if s.cfg.Metrics != nil {
+		s.res.PublishMetrics(s.cfg.Metrics)
 	}
 	return &s.res, nil
 }
 
-// step advances the machine one cycle, processing stages back to
-// front so an instruction traverses at most one stage per cycle.
+// loop is the cycle body. Each cycle processes the stages back to
+// front, so an instruction traverses at most one stage per cycle:
+// branch resolution, retire, issue and its cycle-budget accounting,
+// cache exit, agen advance, agen queue, decode exit (with rename),
+// fetch, then activity accounting and the observer hooks. After a
+// quiet stall cycle, skipAhead replicates it over the span in which no
+// time gate can fire; with skip-ahead off (EnginePerCycle, a tracer,
+// the out-of-order window) every cycle is stepped.
 //
-//lint:hotpath the per-cycle simulator body, ROADMAP item 2 rewrite target; must not allocate
-func (s *sim) step() {
-	s.traceCycle = s.tel.CycleEnabled(s.cycle)
-	s.active = 0
-	s.moved = false
-	s.fetchedNow, s.retiredNow = 0, 0
-	wasDone := s.traceDone
+// Observers are nil-checked hooks. The tracer emits fetch, issue,
+// retire, stall and clock-gate events on the cycles it samples; the
+// invariant hook tests the per-cycle capacity laws with the inlined
+// cycleLawsHold and calls the recording checkCycleInvariants only on a
+// breach; the sampling hook takes the interval sample on each
+// SampleInterval boundary (skipahead.go explains why replicated cycles
+// need neither).
+//
+//lint:hotpath the per-cycle simulator body; must not allocate
+func (s *sim) loop() error {
+	_, lo, hi := s.psrc.Trace()
+	var (
+		w   = &s.w
+		res = &s.res
 
-	s.resolvePendingBranch()
-	if s.retired < s.decoded {
-		s.stepRetire()
-	}
-	s.stepIssue()
-	if s.cachePipe.size > 0 {
-		s.stepCacheExit()
-	}
-	if s.agenPipe.size > 0 {
-		s.stepAgenAdvance()
-	}
-	if s.agenQ.size > 0 {
-		s.stepAgenQ()
-	}
-	if s.decodePipe.size > 0 {
-		s.stepDecodeExit()
-	}
-	s.stepFetch()
-	s.recordActivity()
-	breached := s.inv != nil && s.checkCycleInvariants()
+		cls   = s.fc.Class
+		flg   = s.fc.Flags
+		base  = s.fc.Base
+		pcs   = s.fc.PC
+		addrs = s.fc.Addr
+		tgts  = s.fc.Target
+		total = uint64(hi - lo)
 
-	if occ := int(s.next - s.retired); occ > s.res.MaxWindowOccupied {
-		s.res.MaxWindowOccupied = occ
+		width    = s.cfg.Width
+		ports    = s.cfg.CachePorts
+		bwidth   = s.cfg.BranchWidth
+		agenW    = s.cfg.AgenWidth
+		execQCap = s.cfg.ExecQCap
+		decT     = s.decTransit
+		agenT    = s.agenTransit
+		cacheT   = s.cacheT
+		hier     = s.cfg.Hierarchy
+		icache   = s.cfg.ICache
+		pred     = s.cfg.Predictor
+		btb      = s.cfg.BTB
+		nonBlock = s.cfg.NonBlockingCache
+		redirect = s.cfg.RedirectBubble
+		btbBub   = uint64(s.cfg.BTBMissBubbles)
+		maxCyc   = s.cfg.MaxCycles
+		wrong    = s.cfg.WrongPathActivity
+		ooo      = s.cfg.OutOfOrder
+		skip     = s.skip
+		wnum     = w.num
+		tel      = s.tel
+		inv      = s.inv
+		sampleIv = s.cfg.SampleInterval
+
+		// FO4→cycle conversions are pure functions of the configuration;
+		// precompute the three latencies Access/ICache can report.
+		iMissCycles = s.cfg.LatencyCycles(s.cfg.ICacheMissFO4)
+		l2Cycles    uint64
+		memCycles   uint64
+	)
+	if hier != nil {
+		hcfg := hier.Config()
+		l2Cycles = s.cfg.LatencyCycles(hcfg.L2LatencyFO4)
+		memCycles = s.cfg.LatencyCycles(hcfg.MemLatencyFO4)
 	}
-	if iv := s.cfg.SampleInterval; iv > 0 && s.cycle%iv == 0 {
-		s.takeSample()
+
+	for !s.traceDone || s.retired != s.next {
+		s.cycle++
+		cyc := s.cycle
+		if maxCyc > 0 && cyc > maxCyc {
+			return ErrMaxCycles
+		}
+		if cyc-s.lastProgress > watchdogCycles {
+			return ErrNoProgress
+		}
+
+		traced := tel.CycleEnabled(cyc)
+		var active uint32
+		moved := false
+		wasDone := s.traceDone
+		retiredNow, fetched := 0, 0
+
+		// Resolve a pending mispredicted branch: fetch resumes the
+		// following cycle, so the refill sees the full decode-to-execute
+		// transit.
+		if s.havePending && w.complete[w.idx(s.pendingBranch)] < cyc {
+			s.havePending = false
+		}
+
+		// Retire.
+		if s.retired < s.decoded {
+			for s.retired < s.decoded && retiredNow < width {
+				i := w.idx(s.retired)
+				if w.issuedAt[i] == never || w.complete[i] >= cyc {
+					break
+				}
+				if traced {
+					s.traceInstr(telemetry.KindRetire, s.retired)
+				}
+				s.retired++
+				retiredNow++
+				res.Instructions++
+				res.UnitOps[UnitRetire]++
+				s.lastProgress = cyc
+			}
+			if retiredNow > 0 {
+				active |= 1 << UnitRetire
+				moved = true
+			}
+		}
+
+		// Issue: strictly in program order for the in-order model,
+		// oldest-ready-first from the pending window for the
+		// out-of-order one. Memory ops are bounded by the cache ports,
+		// branches by the branch unit.
+		issued := 0
+		var cause StallCause
+		blocked := false
+		if ooo {
+			issued, cause, blocked = s.issueOOO(traced)
+		} else {
+			memIssued, brIssued := 0, 0
+			for issued < width && s.issued < s.decoded {
+				seq := s.issued
+				c := isa.Class(cls[seq])
+				hasMem := flg[seq]&trace.FlagHasMem != 0
+				if hasMem && memIssued >= ports {
+					break
+				}
+				if c == isa.Branch && brIssued >= bwidth {
+					break
+				}
+				i := w.idx(seq)
+				if cc, ok := s.blockCause(seq, i, c); ok {
+					cause, blocked = cc, true
+					break
+				}
+				if traced {
+					s.traceInstr(telemetry.KindIssue, seq)
+				}
+				s.issue(seq, i, c)
+				s.issued++
+				s.inExecQ--
+				issued++
+				if hasMem {
+					memIssued++
+				}
+				if c == isa.Branch {
+					brIssued++
+				}
+				if c == isa.FP {
+					res.UnitOps[UnitFPU]++
+				} else {
+					res.UnitOps[UnitExec]++
+				}
+			}
+		}
+
+		// Cycle budget: every cycle lands in exactly one bucket here,
+		// which makes the budget exhaustive and exclusive.
+		if issued > 0 {
+			active |= 1 << UnitExecQ
+			moved = true
+			res.IssueCycles++
+			res.IssueHist[issued]++
+			res.CycleBudget[BudgetUsefulIssue]++
+			s.prevWasStall = false
+		} else {
+			res.IssueHist[0]++
+			drained := false
+			if !blocked {
+				// Execution queue empty: drained, the front end frozen on
+				// a mispredicted branch, or not yet delivered.
+				if s.next == s.retired && s.traceDone {
+					res.CycleBudget[BudgetDrain]++
+					s.prevWasStall = false
+					drained = true
+				} else if s.havePending {
+					cause = StallBranch
+				} else {
+					cause = StallFrontend
+				}
+			}
+			if !drained {
+				bucket := budgetForStall(cause, cyc < s.iBusyUntil)
+				res.CycleBudget[bucket]++
+				s.lastBucket = bucket
+				res.StallCycles[cause]++
+				if traced {
+					tel.Emit(telemetry.Event{Cycle: cyc, Kind: telemetry.KindStall, Detail: uint8(cause)})
+				}
+				// Episode counting: a maximal run of equal-cause stall
+				// cycles is one hazard event for the causes whose events
+				// are not counted elsewhere (mispredicts and misses are
+				// counted at occurrence).
+				if !s.prevWasStall || s.prevStall != cause {
+					switch cause {
+					case StallDependency:
+						res.Hazards.DepEpisodes++
+					case StallFP:
+						res.Hazards.FPEpisodes++
+					case StallAgen:
+						res.Hazards.AgenEpisodes++
+					}
+				}
+				s.prevWasStall = true
+				s.prevStall = cause
+			}
+		}
+
+		// Cache exit. Load misses block the cache (no MSHRs, as in the
+		// era's blocking L1 designs) unless NonBlockingCache; stores
+		// retire into a store buffer and never block.
+		if s.cachePipe.size > 0 {
+			for p := 0; p < ports && s.cachePipe.size > 0; p++ {
+				if cyc < s.cacheBusyUntil {
+					break
+				}
+				if cyc-s.cachePipe.headAt() < cacheT {
+					break
+				}
+				seq, _ := s.cachePipe.pop()
+				i := w.idx(seq)
+				c := isa.Class(cls[seq])
+				active |= 1 << UnitCache
+				moved = true
+				res.UnitOps[UnitCache]++
+
+				level := cache.L1
+				if hier != nil {
+					level, _ = hier.Access(addrs[seq])
+				}
+				extra := uint64(0)
+				if level != cache.L1 {
+					res.L1Misses++
+					if level == cache.L2 {
+						extra = l2Cycles
+					} else {
+						extra = memCycles
+					}
+				}
+				if c != isa.Store {
+					if c == isa.Load {
+						res.LoadCount++
+					} else {
+						res.RXCount++
+					}
+					w.dataReady[i] = cyc + extra
+					if extra > 0 {
+						if level == cache.L2 {
+							res.Hazards.LoadL2Hits++
+						} else {
+							// Only memory accesses block the (otherwise
+							// pipelined) cache port; L2 hits stream.
+							res.Hazards.LoadMemAccesses++
+							if !nonBlock {
+								s.cacheBusyUntil = cyc + extra
+							}
+						}
+					}
+				} else {
+					res.StoreCount++
+					w.dataReady[i] = cyc
+				}
+				// Late fix-up for memory ops that issued before their
+				// data arrived: completion and (for loads that are still
+				// the youngest writer of their register) consumer
+				// visibility.
+				if w.issuedAt[i] != never {
+					w.complete[i] = max(w.issuedAt[i]+intLat, w.dataReady[i])
+				}
+				if c == isa.Load {
+					d := s.fc.Dst[seq]
+					if s.haveWriter[d] && s.lastWriter[d] == seq {
+						s.regReady[d] = w.dataReady[i]
+					}
+				}
+			}
+		}
+
+		// Agen advance into the cache pipe.
+		if s.agenPipe.size > 0 {
+			for mv := 0; mv < agenW && s.agenPipe.size > 0; mv++ {
+				if cyc-s.agenPipe.headAt() < agenT {
+					break
+				}
+				if s.cachePipe.full() {
+					break
+				}
+				seq, _ := s.agenPipe.pop()
+				s.cachePipe.push(seq, cyc)
+				active |= 1 << UnitAgen
+				moved = true
+				res.UnitOps[UnitAgen]++
+			}
+		}
+
+		// Agen queue: launch memory ops in order once the base producer
+		// captured at decode exit is ready, so the address path runs
+		// decoupled from issue in both modes.
+		if s.agenQ.size > 0 {
+			for mv := 0; mv < agenW && s.agenQ.size > 0; mv++ {
+				seq := s.agenQ.headSeq()
+				i := w.idx(seq)
+				if w.wflags[i]&wHasBase != 0 {
+					if rt := s.writerReady(w.baseWriter[i]); rt == never || rt > cyc {
+						break
+					}
+				}
+				if s.agenPipe.full() {
+					break
+				}
+				s.agenQ.pop()
+				s.agenPipe.push(seq, cyc)
+				active |= 1 << UnitAgenQ
+				moved = true
+				res.UnitOps[UnitAgenQ]++
+			}
+		}
+
+		// Decode exit into the execution queue (memory ops also into the
+		// address queue), with rename: every memory op captures its base
+		// producer from the decode-time writer table — exact here, since
+		// every older instruction has claimed its destination and no
+		// younger one has — and the out-of-order model captures the full
+		// source producers too (renaming proper: no WAW or WAR hazards).
+		if s.decodePipe.size > 0 {
+			for mv := 0; mv < width && s.decodePipe.size > 0; mv++ {
+				if cyc-s.decodePipe.headAt() < decT {
+					break
+				}
+				if s.inExecQ >= execQCap {
+					break
+				}
+				seq := s.decodePipe.headSeq()
+				i := w.idx(seq)
+				hasMem := flg[seq]&trace.FlagHasMem != 0
+				if hasMem && s.agenQ.full() {
+					break
+				}
+				s.decodePipe.pop()
+				if hasMem {
+					if b := base[seq]; b != isa.RegNone && s.haveRename[b] {
+						w.baseWriter[i] = s.renameTable[b]
+						w.wflags[i] |= wHasBase
+					}
+				}
+				if ooo {
+					s.renameSources(seq, i)
+					active |= 1 << UnitRename
+				}
+				if flg[seq]&trace.FlagWritesReg != 0 {
+					d := s.fc.Dst[seq]
+					s.renameTable[d] = seq
+					s.haveRename[d] = true
+				}
+				if hasMem {
+					s.agenQ.push(seq, cyc)
+					active |= 1 << UnitAgenQ
+				}
+				s.decoded++
+				s.inExecQ++
+				if ooo {
+					//lint:ignore allocfree pending is preallocated to WindowCap in newSim and occupancy never exceeds the window, so this append cannot grow
+					s.pending = append(s.pending, seq)
+				}
+				res.UnitOps[UnitDecode]++
+				res.UnitOps[UnitExecQ]++
+				active |= 1 << UnitExecQ
+				moved = true
+			}
+		}
+
+		// Fetch, consulting the branch predictor and freezing on
+		// mispredictions: the machine does not fetch down the wrong
+		// path, and the freeze lasts until the branch resolves, which
+		// reproduces the misprediction penalty exactly.
+		if !s.havePending && !s.traceDone && cyc >= s.redirectHoldTo && cyc >= s.iBusyUntil {
+			for fetched < width {
+				if s.next-s.retired >= wnum {
+					break
+				}
+				if s.decodePipe.full() {
+					break
+				}
+				seq := s.next
+				if seq >= total {
+					s.traceDone = true
+					break
+				}
+				// Instruction-cache model: a new code line must be
+				// resident; a miss stalls fetch for the configured time.
+				if icache != nil {
+					line := pcs[seq] &^ 63
+					if line != s.lastFetchLine {
+						s.lastFetchLine = line
+						if !icache.Access(pcs[seq]) {
+							res.ICacheMisses++
+							s.iBusyUntil = cyc + iMissCycles
+						}
+					}
+				}
+				i := w.idx(seq)
+				s.next++
+				s.lastProgress = cyc
+				w.seq[i] = seq
+				w.dataReady[i] = never
+				w.issuedAt[i] = never
+				w.complete[i] = never
+				w.wflags[i] = 0
+				if traced {
+					s.traceInstr(telemetry.KindFetch, seq)
+				}
+				s.decodePipe.push(seq, cyc)
+				fetched++
+				res.UnitOps[UnitFetch]++
+
+				if isa.Class(cls[seq]) == isa.Branch {
+					res.Branches++
+					taken := flg[seq]&trace.FlagTaken != 0
+					if taken {
+						res.TakenBranches++
+					}
+					predicted := taken
+					if pred != nil {
+						predicted = pred.Predict(pcs[seq])
+						pred.Update(pcs[seq], taken)
+					}
+					if predicted == taken {
+						res.PredictorCorrect++
+						if taken {
+							// Correctly predicted taken branch: an optional
+							// one-cycle redirect bubble, plus the BTB-miss
+							// hold until decode computes the target.
+							hold := uint64(0)
+							if redirect {
+								hold = 1
+							}
+							if btb != nil {
+								if _, hit := btb.Lookup(pcs[seq]); !hit {
+									res.BTBMisses++
+									hold += btbBub
+								}
+								btb.Update(pcs[seq], tgts[seq])
+							}
+							if hold > 0 {
+								s.redirectHoldTo = cyc + 1 + hold
+								break
+							}
+						}
+					} else {
+						res.Hazards.BranchMispredicts++
+						s.pendingBranch = seq
+						s.havePending = true
+						break
+					}
+				}
+			}
+			if fetched > 0 {
+				active |= 1 << UnitFetch
+				moved = true
+			}
+		}
+
+		// Activity accounting for the power monitor: a unit is active
+		// on a cycle when its latches clock new values. With
+		// WrongPathActivity, misprediction-recovery cycles charge the
+		// front end at full rate (wrong-path fetch and decode).
+		if wrong && s.havePending {
+			active |= 1<<UnitFetch | 1<<UnitDecode
+			res.UnitOps[UnitFetch] += uint64(width)
+			res.UnitOps[UnitDecode] += uint64(width)
+			if ooo {
+				active |= 1 << UnitRename
+				res.UnitOps[UnitRename] += uint64(width)
+			}
+		}
+		if s.decodePipe.anyMoving(cyc, decT) {
+			active |= 1 << UnitDecode
+		}
+		if agenT > 0 && s.agenPipe.anyMoving(cyc, agenT) {
+			active |= 1 << UnitAgen
+		}
+		if s.cachePipe.anyMoving(cyc, cacheT) {
+			active |= 1 << UnitCache
+		}
+		if cyc < s.execActiveUntil {
+			active |= 1 << UnitExec
+		}
+		if cyc < s.fpuBusyUntil {
+			active |= 1 << UnitFPU
+		}
+		s.active = active
+		for m := active; m != 0; m &= m - 1 {
+			res.UnitActive[bits.TrailingZeros32(m)]++
+		}
+		if traced {
+			tel.Emit(telemetry.Event{Cycle: cyc, Kind: telemetry.KindGate, Arg: uint64(active)})
+		}
+
+		if occ := int(s.next - s.retired); occ > res.MaxWindowOccupied {
+			res.MaxWindowOccupied = occ
+		}
+		// Observer hooks. A breach takes the out-of-line recording path.
+		breached := false
+		if inv != nil && !s.cycleLawsHold(fetched, retiredNow) {
+			breached = s.checkCycleInvariants(fetched, retiredNow)
+		}
+		if sampleIv > 0 && cyc%sampleIv == 0 {
+			s.takeSample()
+		}
+		// A quiet cycle mutated no machine state: nothing was fetched,
+		// moved between stages, issued, retired or touched the cache,
+		// and the trace-end transition did not fire. Only branch
+		// resolution may have flipped havePending, and the
+		// post-resolution state is itself stable — a quiet stall
+		// cycle's accounting therefore replicates verbatim until the
+		// next time-gated threshold. A breaching cycle is never
+		// replicated: per-cycle stepping would record the breach again
+		// on every frozen cycle.
+		if skip && !moved && s.traceDone == wasDone && !breached && s.prevWasStall {
+			s.skipAhead()
+		}
 	}
-	// A quiet cycle mutated no machine state: nothing was fetched,
-	// moved between stages, issued, retired or touched the cache, and
-	// the trace-end transition did not fire. Only resolvePendingBranch
-	// may have flipped havePending, and the post-resolution state is
-	// itself stable — a quiet cycle's accounting therefore replicates
-	// verbatim until the next time-gated threshold (see skipahead.go).
-	// A cycle that breached an invariant is not replicated: per-cycle
-	// stepping would record the breach again on every frozen cycle.
-	s.quiet = !s.moved && s.traceDone == wasDone && !breached
+	return nil
 }
 
 // takeSample appends one interval of the activity trace.
@@ -288,146 +763,6 @@ func (s *sim) takeSample() {
 	s.res.Samples = append(s.res.Samples, sm)
 }
 
-// resolvePendingBranch unfreezes the front end once the mispredicted
-// branch has completed; fetch resumes the following cycle, so the
-// refill sees the full decode-to-execute transit.
-//
-//lint:hotpath per-cycle branch resolution; must not allocate
-func (s *sim) resolvePendingBranch() {
-	if s.havePending && s.w.complete[s.w.idx(s.pendingBranch)] < s.cycle {
-		s.havePending = false
-	}
-}
-
-//lint:hotpath per-cycle retire stage; must not allocate
-func (s *sim) stepRetire() {
-	for s.retired < s.decoded && s.retiredNow < s.cfg.Width {
-		i := s.w.idx(s.retired)
-		if s.w.issuedAt[i] == never || s.w.complete[i] >= s.cycle {
-			break
-		}
-		if s.traceCycle {
-			s.traceInstr(telemetry.KindRetire, s.retired, &s.w.in[i])
-		}
-		s.retired++
-		s.retiredNow++
-		s.res.Instructions++
-		s.res.UnitOps[UnitRetire]++
-		s.lastProgress = s.cycle
-	}
-	if s.retiredNow > 0 {
-		s.active |= 1 << UnitRetire
-		s.moved = true
-	}
-}
-
-// stepIssue issues up to Width instructions from the execution queue
-// — strictly in program order for the in-order model, oldest-ready-
-// first within the window for the out-of-order model — or classifies
-// the stall.
-//
-//lint:hotpath per-cycle issue stage; must not allocate
-func (s *sim) stepIssue() {
-	if s.cfg.OutOfOrder {
-		s.stepIssueOOO()
-		return
-	}
-	issued, memIssued, brIssued := 0, 0, 0
-	var cause StallCause
-	blocked := false
-	for issued < s.cfg.Width && s.issued < s.decoded {
-		i := s.w.idx(s.issued)
-		in := &s.w.in[i]
-		// Structural issue-group limits: memory ops are bounded by the
-		// cache ports, branches by the branch unit.
-		if in.HasMemory() && memIssued >= s.cfg.CachePorts {
-			break
-		}
-		if in.Class == isa.Branch && brIssued >= s.cfg.BranchWidth {
-			break
-		}
-		if c, ok := s.blockCause(i); ok {
-			cause, blocked = c, true
-			break
-		}
-		s.issue(s.issued, i)
-		s.issued++
-		s.inExecQ--
-		issued++
-		if in.HasMemory() {
-			memIssued++
-		}
-		if in.Class == isa.Branch {
-			brIssued++
-		}
-		if in.Class == isa.FP {
-			s.res.UnitOps[UnitFPU]++
-		} else {
-			s.res.UnitOps[UnitExec]++
-		}
-		s.active |= 1 << UnitExecQ
-		s.moved = true
-	}
-
-	s.finishIssueAccounting(issued, cause, blocked)
-}
-
-// finishIssueAccounting updates issue statistics, the cycle budget and
-// stall-episode counters after an issue attempt (shared by both issue
-// disciplines). It runs exactly once per cycle, which is what makes
-// the cycle budget exhaustive and exclusive: every cycle lands in
-// exactly one bucket here.
-//
-//lint:hotpath per-cycle issue accounting; must not allocate
-func (s *sim) finishIssueAccounting(issued int, cause StallCause, blocked bool) {
-	if issued > 0 {
-		s.res.IssueCycles++
-		s.res.IssueHist[issued]++
-		s.res.CycleBudget[BudgetUsefulIssue]++
-		s.prevWasStall = false
-		return
-	}
-	s.res.IssueHist[0]++
-	if !blocked {
-		// Execution queue empty: either the front end is frozen on a
-		// mispredicted branch, or it simply has not delivered yet.
-		if s.next == s.retired && s.traceDone {
-			s.res.CycleBudget[BudgetDrain]++
-			s.prevWasStall = false
-			return // drained: not a stall
-		}
-		if s.havePending {
-			cause = StallBranch
-		} else {
-			cause = StallFrontend
-		}
-	}
-	bucket := budgetForStall(cause, s.cycle < s.iBusyUntil)
-	s.res.CycleBudget[bucket]++
-	s.lastBucket = bucket
-	s.res.StallCycles[cause]++
-	if s.traceCycle {
-		s.tel.Emit(telemetry.Event{
-			Cycle: s.cycle, Kind: telemetry.KindStall, Detail: uint8(cause),
-		})
-	}
-	// Episode counting: a maximal run of equal-cause stall cycles is
-	// one hazard event for the causes whose events are not counted
-	// elsewhere (mispredicts and misses are counted at occurrence).
-	if !s.prevWasStall || s.prevStall != cause {
-		switch cause {
-		case StallDependency:
-			s.res.Hazards.DepEpisodes++
-		case StallFP:
-			s.res.Hazards.FPEpisodes++
-		case StallAgen:
-			s.res.Hazards.AgenEpisodes++
-		}
-	}
-	s.prevWasStall = true
-	s.prevStall = cause
-}
-
 // renameStages returns the extra front-end transit of the rename
 // stage (out-of-order mode only).
 func renameStages(cfg Config) int {
@@ -437,101 +772,88 @@ func renameStages(cfg Config) int {
 	return 0
 }
 
-// stepIssueOOO selects up to Width ready instructions oldest-first
-// from the pending (decoded-but-unissued) window, respecting the same
-// structural limits as the in-order issue stage. Stall classification
-// follows the oldest unissued instruction. The pending list is kept
-// compact, so the per-cycle cost is bounded by the window capacity.
+// issueOOO selects up to Width ready instructions oldest-first from
+// the pending (decoded-but-unissued) window, respecting the same
+// structural limits as in-order issue, and returns the issue count and
+// the stall classification, which follows the oldest unissued
+// instruction. The pending list is kept compact, so the per-cycle cost
+// is bounded by the window capacity.
 //
 //lint:hotpath per-cycle issue stage (OOO); must not allocate
-func (s *sim) stepIssueOOO() {
-	issued, memIssued, brIssued := 0, 0, 0
-	var cause StallCause
-	blocked := false
+func (s *sim) issueOOO(traced bool) (issued int, cause StallCause, blocked bool) {
+	memIssued, brIssued := 0, 0
 	keep := s.pending[:0]
-	for i, seq := range s.pending {
-		wi := s.w.idx(seq)
-		in := &s.w.in[wi]
+	for k, seq := range s.pending {
 		if issued >= s.cfg.Width {
-			keep = append(keep, s.pending[i:]...)
+			keep = append(keep, s.pending[k:]...)
 			break
 		}
-		if in.HasMemory() && memIssued >= s.cfg.CachePorts {
+		c := isa.Class(s.fc.Class[seq])
+		hasMem := s.fc.Flags[seq]&trace.FlagHasMem != 0
+		if hasMem && memIssued >= s.cfg.CachePorts {
 			keep = append(keep, seq)
 			continue
 		}
-		if in.Class == isa.Branch && brIssued >= s.cfg.BranchWidth {
+		if c == isa.Branch && brIssued >= s.cfg.BranchWidth {
 			keep = append(keep, seq)
 			continue
 		}
-		if c, ok := s.blockCauseOOO(wi); ok {
+		wi := s.w.idx(seq)
+		if cc, ok := s.blockCauseOOO(wi, c); ok {
 			if len(keep) == 0 && !blocked {
-				cause, blocked = c, true
+				cause, blocked = cc, true
 			}
 			keep = append(keep, seq)
 			continue
 		}
-		s.issue(seq, wi)
+		if traced {
+			s.traceInstr(telemetry.KindIssue, seq)
+		}
+		s.issue(seq, wi, c)
 		s.inExecQ--
 		issued++
-		if in.HasMemory() {
+		if hasMem {
 			memIssued++
 		}
-		if in.Class == isa.Branch {
+		if c == isa.Branch {
 			brIssued++
 		}
-		if in.Class == isa.FP {
+		if c == isa.FP {
 			s.res.UnitOps[UnitFPU]++
 		} else {
 			s.res.UnitOps[UnitExec]++
 		}
-		s.active |= 1 << UnitExecQ
-		s.moved = true
 	}
 	s.pending = keep
-	s.finishIssueAccounting(issued, cause, blocked)
+	return issued, cause, blocked
 }
 
-// blockCauseOOO decides readiness from the producers captured at
-// rename, resolved dynamically against the window.
+// blockCauseOOO decides readiness of the class-c instruction in window
+// slot i from the producers captured at rename, resolved dynamically
+// against the window.
 //
 //lint:hotpath per-instruction stall classification (OOO); must not allocate
-func (s *sim) blockCauseOOO(i uint64) (StallCause, bool) {
-	in := &s.w.in[i]
-	if in.Class == isa.FP && s.fpuBusyUntil > s.cycle {
+func (s *sim) blockCauseOOO(i uint64, c isa.Class) (StallCause, bool) {
+	if c == isa.FP && s.fpuBusyUntil > s.cycle {
 		return StallFP, true
 	}
-	if in.Class == isa.Load {
+	switch c {
+	case isa.Load:
 		return 0, false
-	}
-	if in.Class == isa.Store {
-		if s.w.wflags[i]&wHasSrc1 != 0 {
-			if t := s.writerReady(s.w.src1Writer[i]); t > s.cycle {
-				return s.classifyWriter(s.w.src1Writer[i]), true
-			}
-		}
-		return 0, false
-	}
-	if in.Class == isa.RX {
+	case isa.RX:
 		if s.w.dataReady[i] == never {
 			return StallAgen, true
 		}
 		if s.w.dataReady[i] > s.cycle {
 			return StallMemory, true
 		}
-		if s.w.wflags[i]&wHasSrc1 != 0 {
-			if t := s.writerReady(s.w.src1Writer[i]); t > s.cycle {
-				return s.classifyWriter(s.w.src1Writer[i]), true
-			}
-		}
-		return 0, false
 	}
 	if s.w.wflags[i]&wHasSrc1 != 0 {
 		if t := s.writerReady(s.w.src1Writer[i]); t > s.cycle {
 			return s.classifyWriter(s.w.src1Writer[i]), true
 		}
 	}
-	if s.w.wflags[i]&wHasSrc2 != 0 {
+	if s.w.wflags[i]&wHasSrc2 != 0 { // captured for RR, FP and Branch only
 		if t := s.writerReady(s.w.src2Writer[i]); t > s.cycle {
 			return s.classifyWriter(s.w.src2Writer[i]), true
 		}
@@ -550,7 +872,7 @@ func (s *sim) classifyWriter(seq uint64) StallCause {
 	if s.w.seq[p] != seq {
 		return StallDependency
 	}
-	if s.w.in[p].Class == isa.Load {
+	if isa.Class(s.fc.Class[seq]) == isa.Load {
 		if s.w.dataReady[p] == never {
 			return StallAgen
 		}
@@ -561,46 +883,45 @@ func (s *sim) classifyWriter(seq uint64) StallCause {
 	return StallDependency
 }
 
-// blockCause reports why the window-slot-i head instruction cannot
-// issue, if it cannot. Loads and stores issue without waiting for
-// their own data (the machine is access-decoupled: address generation
-// and cache access run ahead of the execution queue, per Fig. 2); only
-// true consumers of in-flight data stall.
+// blockCause reports why the class-c in-order issue head (sequence
+// number seq, window slot i) cannot issue, if it cannot. Loads and
+// stores issue without waiting for their own data (the machine is
+// access-decoupled: address generation and cache access run ahead of
+// the execution queue, per Fig. 2); only true consumers of in-flight
+// data stall.
 //
 //lint:hotpath per-instruction stall classification; must not allocate
-func (s *sim) blockCause(i uint64) (StallCause, bool) {
-	in := &s.w.in[i]
-	if in.Class == isa.Load {
+func (s *sim) blockCause(seq, i uint64, c isa.Class) (StallCause, bool) {
+	switch c {
+	case isa.Load:
 		return 0, false
-	}
-	if in.Class == isa.Store {
-		if s.regReady[in.Src1] > s.cycle { // store data not ready
-			return s.classifyDep(in.Src1), true
+	case isa.Store:
+		if r := s.fc.Src1[seq]; s.regReady[r] > s.cycle { // store data not ready
+			return s.classifyDep(r), true
 		}
 		return 0, false
-	}
-	if in.Class == isa.RX {
-		// The memory operand must have arrived and the register
-		// operand must be ready: the zSeries RX op computes at issue.
+	case isa.RX:
+		// The memory operand must have arrived and the register operand
+		// must be ready: the zSeries RX op computes at issue.
 		if s.w.dataReady[i] == never {
 			return StallAgen, true
 		}
 		if s.w.dataReady[i] > s.cycle {
 			return StallMemory, true
 		}
-		if s.regReady[in.Src1] > s.cycle {
-			return s.classifyDep(in.Src1), true
+		if r := s.fc.Src1[seq]; s.regReady[r] > s.cycle {
+			return s.classifyDep(r), true
 		}
 		return 0, false
 	}
-	if in.Class == isa.FP && s.fpuBusyUntil > s.cycle {
+	if c == isa.FP && s.fpuBusyUntil > s.cycle {
 		return StallFP, true
 	}
-	if in.Src1 != isa.RegNone && s.regReady[in.Src1] > s.cycle {
-		return s.classifyDep(in.Src1), true
+	if r := s.fc.Src1[seq]; r != isa.RegNone && s.regReady[r] > s.cycle {
+		return s.classifyDep(r), true
 	}
-	if in.Src2 != isa.RegNone && s.regReady[in.Src2] > s.cycle {
-		return s.classifyDep(in.Src2), true
+	if r := s.fc.Src2[seq]; r != isa.RegNone && s.regReady[r] > s.cycle {
+		return s.classifyDep(r), true
 	}
 	return 0, false
 }
@@ -608,6 +929,9 @@ func (s *sim) blockCause(i uint64) (StallCause, bool) {
 // classifyDep attributes a wait on register r to its producer: a load
 // still in the address path is an agen stall, a load waiting on a
 // cache miss is a memory stall, anything else is a plain dependency.
+// The producer's class is read slot-faithfully — the class of whatever
+// currently occupies the producer's window slot, which may be a younger
+// instruction after slot reuse.
 //
 //lint:hotpath per-operand stall classification; must not allocate
 func (s *sim) classifyDep(r isa.Reg) StallCause {
@@ -615,7 +939,7 @@ func (s *sim) classifyDep(r isa.Reg) StallCause {
 		return StallDependency
 	}
 	p := s.w.idx(s.lastWriter[r])
-	if s.w.in[p].Class == isa.Load {
+	if isa.Class(s.fc.Class[s.w.seq[p]]) == isa.Load {
 		if s.w.dataReady[p] == never {
 			return StallAgen
 		}
@@ -626,30 +950,24 @@ func (s *sim) classifyDep(r isa.Reg) StallCause {
 	return StallDependency
 }
 
-// issue starts execution of the instruction in window slot i at the
-// current cycle.
+// issue starts execution of the class-c instruction seq in window slot
+// i at the current cycle.
 //
 //lint:hotpath per-instruction issue bookkeeping; must not allocate
-func (s *sim) issue(seq, i uint64) {
-	in := &s.w.in[i]
+func (s *sim) issue(seq, i uint64, c isa.Class) {
 	s.w.issuedAt[i] = s.cycle
-	if s.traceCycle {
-		s.traceInstr(telemetry.KindIssue, seq, in)
-	}
-	switch in.Class {
+	switch c {
 	case isa.FP:
 		// Unpipelined: the FPU is occupied for the full latency (at
 		// least the E-pipe transit).
-		lat := uint64(in.FPLat)
+		lat := uint64(s.fc.FPLat[seq])
 		if lat < s.execLat {
 			lat = s.execLat
 		}
 		complete := s.cycle + lat
 		s.w.complete[i] = complete
 		s.fpuBusyUntil = complete
-		s.regReady[in.Dst] = complete
-		s.lastWriter[in.Dst] = seq
-		s.haveWriter[in.Dst] = true
+		s.setWriter(seq, complete)
 	case isa.Load:
 		// The consumer-visible ready time is the cache data arrival;
 		// completion additionally includes the E-unit pass.
@@ -659,9 +977,7 @@ func (s *sim) issue(seq, i uint64) {
 			s.w.complete[i] = max(s.cycle+intLat, s.w.dataReady[i])
 			s.execActiveUntil = max(s.execActiveUntil, s.cycle+intLat)
 		}
-		s.regReady[in.Dst] = s.w.dataReady[i]
-		s.lastWriter[in.Dst] = seq
-		s.haveWriter[in.Dst] = true
+		s.setWriter(seq, s.w.dataReady[i])
 	case isa.Store:
 		if s.w.dataReady[i] == never {
 			s.w.complete[i] = never
@@ -669,389 +985,65 @@ func (s *sim) issue(seq, i uint64) {
 			s.w.complete[i] = max(s.cycle+intLat, s.w.dataReady[i])
 		}
 		s.execActiveUntil = max(s.execActiveUntil, s.cycle+intLat)
-	case isa.RX:
-		// Operands arrived (memory at dataReady, register checked at
-		// issue): the compute itself is a one-cycle ALU pass.
-		complete := s.cycle + intLat
-		s.w.complete[i] = complete
-		s.regReady[in.Dst] = complete
-		s.lastWriter[in.Dst] = seq
-		s.haveWriter[in.Dst] = true
-		s.execActiveUntil = max(s.execActiveUntil, complete)
 	case isa.Branch:
 		// Branches resolve at the end of the E-unit pipe: the
 		// misprediction penalty grows with the pipeline depth.
 		complete := s.cycle + s.execLat
 		s.w.complete[i] = complete
 		s.execActiveUntil = max(s.execActiveUntil, complete)
-	default: // RR
+	default: // RR, RX
 		// Simple ALU results forward in one cycle independent of the
 		// E-pipe depth — deep real designs keep the common ALU loop
-		// single-cycle with aggressive bypassing (staggered ALUs);
-		// only branch resolution, FP and memory pay the added stages.
+		// single-cycle with aggressive bypassing (staggered ALUs); only
+		// branch resolution, FP and memory pay the added stages. An RX
+		// op's operands have arrived (memory at dataReady, register
+		// checked at issue), so its compute is the same one-cycle pass.
 		complete := s.cycle + intLat
 		s.w.complete[i] = complete
-		s.regReady[in.Dst] = complete
-		s.lastWriter[in.Dst] = seq
-		s.haveWriter[in.Dst] = true
+		s.setWriter(seq, complete)
 		s.execActiveUntil = max(s.execActiveUntil, complete)
 	}
 }
 
-// stepCacheExit completes cache accesses for memory operations leaving
-// the cache pipe. Load misses block the cache (no MSHRs, as in the
-// era's blocking L1 designs); stores retire into a store buffer and
-// never block.
+// setWriter records seq as the issued producer of its destination
+// register, readable from cycle ready.
 //
-//lint:hotpath per-cycle cache-exit stage; must not allocate
-func (s *sim) stepCacheExit() {
-	for ports := 0; ports < s.cfg.CachePorts && !s.cachePipe.empty(); ports++ {
-		if s.cycle < s.cacheBusyUntil {
-			break
-		}
-		if s.cycle-s.cachePipe.headAt() < s.cacheT {
-			break
-		}
-		seq, _ := s.cachePipe.pop()
-		i := s.w.idx(seq)
-		in := &s.w.in[i]
-		s.active |= 1 << UnitCache
-		s.moved = true
-		s.res.UnitOps[UnitCache]++
-
-		level, latFO4 := cache.L1, 0.0
-		if s.cfg.Hierarchy != nil {
-			level, latFO4 = s.cfg.Hierarchy.Access(in.Addr)
-		}
-		extra := uint64(0)
-		if level != cache.L1 {
-			s.res.L1Misses++
-			extra = s.cfg.LatencyCycles(latFO4)
-		}
-		if in.Class != isa.Store {
-			if in.Class == isa.Load {
-				s.res.LoadCount++
-			} else {
-				s.res.RXCount++
-			}
-			s.w.dataReady[i] = s.cycle + extra
-			if extra > 0 {
-				if level == cache.L2 {
-					s.res.Hazards.LoadL2Hits++
-				} else {
-					// Only memory accesses block the (otherwise
-					// pipelined) cache port; L2 hits stream. With
-					// MSHRs (NonBlockingCache) misses overlap freely.
-					s.res.Hazards.LoadMemAccesses++
-					if !s.cfg.NonBlockingCache {
-						s.cacheBusyUntil = s.cycle + extra
-					}
-				}
-			}
-		} else {
-			s.res.StoreCount++
-			s.w.dataReady[i] = s.cycle
-		}
-		// Late fix-up for memory ops that issued before their data
-		// arrived: completion and (for loads that are still the
-		// youngest writer of their register) consumer visibility.
-		if s.w.issuedAt[i] != never {
-			s.w.complete[i] = max(s.w.issuedAt[i]+intLat, s.w.dataReady[i])
-		}
-		if in.Class == isa.Load &&
-			s.haveWriter[in.Dst] && s.lastWriter[in.Dst] == seq {
-			s.regReady[in.Dst] = s.w.dataReady[i]
-		}
-	}
+//lint:hotpath per-instruction issue bookkeeping; must not allocate
+func (s *sim) setWriter(seq, ready uint64) {
+	d := s.fc.Dst[seq]
+	s.regReady[d] = ready
+	s.lastWriter[d] = seq
+	s.haveWriter[d] = true
 }
 
-// stepAgenAdvance moves address-generated operations into the cache
-// pipe.
+// renameSources captures the out-of-order source producers of seq
+// (window slot i) from the rename table.
 //
-//lint:hotpath per-cycle agen advance; must not allocate
-func (s *sim) stepAgenAdvance() {
-	for moved := 0; moved < s.cfg.AgenWidth && !s.agenPipe.empty(); moved++ {
-		if s.cycle-s.agenPipe.headAt() < s.agenTransit {
-			break
+//lint:hotpath runs at decode exit for every out-of-order instruction; must not allocate
+func (s *sim) renameSources(seq, i uint64) {
+	switch isa.Class(s.fc.Class[seq]) {
+	case isa.Store, isa.RX:
+		if w, ok := s.captureWriter(s.fc.Src1[seq]); ok {
+			s.w.src1Writer[i] = w
+			s.w.wflags[i] |= wHasSrc1
 		}
-		if s.cachePipe.full() {
-			break
+	case isa.RR, isa.FP, isa.Branch:
+		if w, ok := s.captureWriter(s.fc.Src1[seq]); ok {
+			s.w.src1Writer[i] = w
+			s.w.wflags[i] |= wHasSrc1
 		}
-		seq, _ := s.agenPipe.pop()
-		s.cachePipe.push(seq, s.cycle)
-		s.active |= 1 << UnitAgen
-		s.moved = true
-		s.res.UnitOps[UnitAgen]++
-	}
-}
-
-// stepAgenQ launches queued memory operations into address generation
-// once their base registers are ready (in order).
-//
-//lint:hotpath per-cycle agen-queue stage; must not allocate
-func (s *sim) stepAgenQ() {
-	for moved := 0; moved < s.cfg.AgenWidth && !s.agenQ.empty(); moved++ {
-		seq := s.agenQ.headSeq()
-		i := s.w.idx(seq)
-		// The base producer was captured at decode exit, so the
-		// address path runs fully decoupled from issue in both modes.
-		if s.w.wflags[i]&wHasBase != 0 {
-			if t := s.writerReady(s.w.baseWriter[i]); t == never || t > s.cycle {
-				break
-			}
-		}
-		if s.agenPipe.full() {
-			break
-		}
-		s.agenQ.pop()
-		s.agenPipe.push(seq, s.cycle)
-		s.active |= 1 << UnitAgenQ
-		s.moved = true
-		s.res.UnitOps[UnitAgenQ]++
-	}
-}
-
-// stepDecodeExit routes decoded instructions into the execution queue
-// (and memory operations additionally into the address queue).
-//
-//lint:hotpath per-cycle decode-exit stage; must not allocate
-func (s *sim) stepDecodeExit() {
-	for moved := 0; moved < s.cfg.Width && !s.decodePipe.empty(); moved++ {
-		if s.cycle-s.decodePipe.headAt() < s.decTransit {
-			break
-		}
-		if s.inExecQ >= s.cfg.ExecQCap {
-			break
-		}
-		seq := s.decodePipe.headSeq()
-		i := s.w.idx(seq)
-		hasMem := s.w.in[i].HasMemory()
-		if hasMem && s.agenQ.full() {
-			break
-		}
-		s.decodePipe.pop()
-		s.rename(seq, i)
-		if hasMem {
-			s.agenQ.push(seq, s.cycle)
-			s.active |= 1 << UnitAgenQ
-		}
-		s.decoded++
-		s.inExecQ++
-		if s.cfg.OutOfOrder {
-			//lint:ignore allocfree pending is preallocated to WindowCap in Run and occupancy never exceeds the window, so this append cannot grow
-			s.pending = append(s.pending, seq)
-		}
-		s.res.UnitOps[UnitDecode]++
-		s.res.UnitOps[UnitExecQ]++
-		s.active |= 1 << UnitExecQ
-		s.moved = true
-	}
-}
-
-// stepFetch brings new instructions from the trace into decode,
-// consulting the branch predictor and freezing on mispredictions (the
-// machine does not fetch down the wrong path; the freeze lasts until
-// the branch resolves, which reproduces the misprediction penalty
-// exactly).
-//
-//lint:hotpath per-cycle fetch stage; must not allocate
-func (s *sim) stepFetch() {
-	if s.havePending || s.traceDone || s.cycle < s.redirectHoldTo {
-		return
-	}
-	if s.cycle < s.iBusyUntil {
-		return
-	}
-	for s.fetchedNow < s.cfg.Width {
-		if s.next-s.retired >= s.w.num {
-			break
-		}
-		if s.decodePipe.full() {
-			break
-		}
-		// Materialize the next record straight into the window slot it
-		// will occupy: the packed fast path writes the SoA columns into
-		// the slot with no intermediate copy.
-		i := s.w.idx(s.next)
-		in := &s.w.in[i]
-		if s.psrc != nil {
-			if !s.psrc.NextInto(in) {
-				s.traceDone = true
-				break
-			}
-		} else {
-			v, ok := s.src.Next()
-			if !ok {
-				s.traceDone = true
-				break
-			}
-			*in = v
-		}
-		// Instruction-cache model: a new code line must be resident;
-		// a miss stalls fetch for the configured time.
-		if s.cfg.ICache != nil {
-			line := in.PC &^ 63
-			if line != s.lastFetchLine {
-				s.lastFetchLine = line
-				if !s.cfg.ICache.Access(in.PC) {
-					s.res.ICacheMisses++
-					s.iBusyUntil = s.cycle + s.cfg.LatencyCycles(s.cfg.ICacheMissFO4)
-				}
-			}
-		}
-		seq := s.next
-		s.next++
-		s.lastProgress = s.cycle
-		s.w.seq[i] = seq
-		s.w.dataReady[i] = never
-		s.w.issuedAt[i] = never
-		s.w.complete[i] = never
-		s.w.wflags[i] = 0
-		if s.traceCycle {
-			s.traceInstr(telemetry.KindFetch, seq, in)
-		}
-		s.decodePipe.push(seq, s.cycle)
-		s.fetchedNow++
-		s.res.UnitOps[UnitFetch]++
-
-		if in.Class == isa.Branch {
-			s.res.Branches++
-			if in.Taken {
-				s.res.TakenBranches++
-			}
-			pred := in.Taken
-			if s.cfg.Predictor != nil {
-				pred = s.cfg.Predictor.Predict(in.PC)
-				s.cfg.Predictor.Update(in.PC, in.Taken)
-			}
-			if pred == in.Taken {
-				s.res.PredictorCorrect++
-				if in.Taken {
-					hold := uint64(0)
-					if s.cfg.RedirectBubble {
-						// Correctly predicted taken branch: one-cycle
-						// fetch redirect bubble.
-						hold = 1
-					}
-					// The redirect needs the target: a BTB miss holds
-					// fetch until decode computes it.
-					if s.cfg.BTB != nil {
-						if _, hit := s.cfg.BTB.Lookup(in.PC); !hit {
-							s.res.BTBMisses++
-							hold += uint64(s.cfg.BTBMissBubbles)
-						}
-						s.cfg.BTB.Update(in.PC, in.Target)
-					}
-					if hold > 0 {
-						s.redirectHoldTo = s.cycle + 1 + hold
-						break
-					}
-				}
-			} else {
-				s.res.Hazards.BranchMispredicts++
-				s.pendingBranch = seq
-				s.havePending = true
-				break
-			}
+		if w, ok := s.captureWriter(s.fc.Src2[seq]); ok {
+			s.w.src2Writer[i] = w
+			s.w.wflags[i] |= wHasSrc2
 		}
 	}
-	if s.fetchedNow > 0 {
-		s.active |= 1 << UnitFetch
-		s.moved = true
-	}
-}
-
-// recordActivity accumulates per-unit switching activity for the
-// power monitor: a unit is active on a cycle when its latches clock
-// new values (instructions advanced through it). With
-// WrongPathActivity, misprediction-recovery cycles charge the front
-// end at full rate (wrong-path fetch and decode).
-//
-//lint:hotpath per-cycle activity accounting; must not allocate
-func (s *sim) recordActivity() {
-	a := s.active
-	if s.cfg.WrongPathActivity && s.havePending {
-		a |= 1<<UnitFetch | 1<<UnitDecode
-		s.res.UnitOps[UnitFetch] += uint64(s.cfg.Width)
-		s.res.UnitOps[UnitDecode] += uint64(s.cfg.Width)
-		if s.cfg.OutOfOrder {
-			a |= 1 << UnitRename
-			s.res.UnitOps[UnitRename] += uint64(s.cfg.Width)
-		}
-	}
-	if s.decodePipe.anyMoving(s.cycle, s.decTransit) {
-		a |= 1 << UnitDecode
-	}
-	if s.agenTransit > 0 && s.agenPipe.anyMoving(s.cycle, s.agenTransit) {
-		a |= 1 << UnitAgen
-	}
-	if s.cachePipe.anyMoving(s.cycle, s.cacheT) {
-		a |= 1 << UnitCache
-	}
-	if s.cycle < s.execActiveUntil {
-		a |= 1 << UnitExec
-	}
-	if s.cycle < s.fpuBusyUntil {
-		a |= 1 << UnitFPU
-	}
-	s.active = a
-	for m := a; m != 0; m &= m - 1 {
-		s.res.UnitActive[bits.TrailingZeros32(m)]++
-	}
-	if s.traceCycle {
-		s.traceGate()
-	}
-}
-
-// rename records producers in the decode-time writer table. In both
-// execution modes, memory operations capture their base-register
-// producer here — decode exit is exact for that purpose: every older
-// instruction has already claimed its destination, no younger one has
-// — which lets the address path run decoupled from issue. In
-// out-of-order mode the full source operands are captured too (the
-// register-renaming step proper), eliminating WAW and WAR hazards.
-//
-//lint:hotpath runs at decode exit for every instruction; must not allocate
-func (s *sim) rename(seq, i uint64) {
-	in := &s.w.in[i]
-	if in.HasMemory() {
-		if w, ok := s.captureWriter(in.BaseReg()); ok {
-			s.w.baseWriter[i] = w
-			s.w.wflags[i] |= wHasBase
-		}
-	}
-	if s.cfg.OutOfOrder {
-		switch in.Class {
-		case isa.Store, isa.RX:
-			if w, ok := s.captureWriter(in.Src1); ok {
-				s.w.src1Writer[i] = w
-				s.w.wflags[i] |= wHasSrc1
-			}
-		case isa.RR, isa.FP, isa.Branch:
-			if w, ok := s.captureWriter(in.Src1); ok {
-				s.w.src1Writer[i] = w
-				s.w.wflags[i] |= wHasSrc1
-			}
-			if w, ok := s.captureWriter(in.Src2); ok {
-				s.w.src2Writer[i] = w
-				s.w.wflags[i] |= wHasSrc2
-			}
-		}
-		s.res.UnitOps[UnitRename]++
-		s.active |= 1 << UnitRename
-	}
-	if in.WritesReg() {
-		s.renameTable[in.Dst] = seq
-		s.haveRename[in.Dst] = true
-	}
+	s.res.UnitOps[UnitRename]++
 }
 
 // captureWriter looks up the youngest in-flight producer of r in the
-// rename table. A method rather than a closure inside rename, so the
-// decode-exit path stays visibly closure-free and the allocfree
-// analyzer can vouch for it.
+// rename table.
 //
-//lint:hotpath called up to three times per renamed instruction; must not allocate
+//lint:hotpath called up to twice per renamed instruction; must not allocate
 func (s *sim) captureWriter(r isa.Reg) (uint64, bool) {
 	if r == isa.RegNone || !s.haveRename[r] {
 		return 0, false
@@ -1072,8 +1064,22 @@ func (s *sim) writerReady(seq uint64) uint64 {
 	if s.w.seq[i] != seq {
 		return 0
 	}
-	if s.slotClass(i) == isa.Load {
+	if isa.Class(s.fc.Class[seq]) == isa.Load {
 		return s.w.dataReady[i]
 	}
 	return s.w.complete[i]
+}
+
+// traceInstr emits one instruction-lifecycle event (fetch, issue or
+// retire) for sequence number seq.
+//
+//lint:hotpath per-instruction trace emission when tracing is armed; must not allocate
+func (s *sim) traceInstr(kind telemetry.EventKind, seq uint64) {
+	s.tel.Emit(telemetry.Event{
+		Cycle:  s.cycle,
+		Kind:   kind,
+		Arg:    seq,
+		PC:     s.fc.PC[seq],
+		Detail: s.fc.Class[seq],
+	})
 }

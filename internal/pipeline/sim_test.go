@@ -1,8 +1,11 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -319,11 +322,78 @@ func TestUnitActivityBounds(t *testing.T) {
 	}
 }
 
+// TestMaxCyclesAbort checks the MaxCycles abort on every way of
+// running the cycle body: skip-ahead on (packed and plain input), off,
+// out-of-order and tracer-attached. Each returns ErrMaxCycles wrapped
+// with the first cycle past the limit.
 func TestMaxCyclesAbort(t *testing.T) {
-	cfg := idealConfig(10)
-	cfg.MaxCycles = 10
-	if _, err := Run(cfg, trace.NewSliceStream(rrIndependent(4000))); err == nil {
-		t.Error("MaxCycles not enforced")
+	ins := rrIndependent(4000)
+	packed, err := trace.Pack(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legs := map[string]struct {
+		mutate func(*Config)
+		src    trace.Stream
+	}{
+		"auto":       {func(*Config) {}, packed.Stream()},
+		"auto-plain": {func(*Config) {}, trace.NewSliceStream(ins)},
+		"per-cycle":  {func(c *Config) { c.Engine = EnginePerCycle }, trace.NewSliceStream(ins)},
+		"ooo":        {func(c *Config) { c.OutOfOrder = true }, trace.NewSliceStream(ins)},
+		"tracer":     {func(c *Config) { c.Tracer = NewTracer(0) }, trace.NewSliceStream(ins)},
+	}
+	for name, leg := range legs {
+		cfg := idealConfig(10)
+		cfg.MaxCycles = 10
+		leg.mutate(&cfg)
+		_, err := Run(cfg, leg.src)
+		if !errors.Is(err, ErrMaxCycles) {
+			t.Errorf("%s: err = %v, want ErrMaxCycles", name, err)
+			continue
+		}
+		if !strings.HasSuffix(err.Error(), "at cycle 11") {
+			t.Errorf("%s: err = %q, want the abort cycle 11", name, err)
+		}
+	}
+}
+
+// TestWatchdogFiresOnPlantedDeadlock pins the execution-queue count at
+// its capacity, so decode exit never moves and nothing can issue: the
+// machine fetches until the decode pipe fills and then makes no
+// further progress. The forward-progress watchdog must report
+// ErrNoProgress on exactly the cycle watchdogCycles past the last
+// progress, with skip-ahead on (which spans the frozen cycles in
+// closed form) and off.
+func TestWatchdogFiresOnPlantedDeadlock(t *testing.T) {
+	prof := workload.Representative(workload.SPECInt)
+	packed, err := trace.PackStream(workload.MustGenerator(prof), 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	abort := map[EngineKind]uint64{}
+	for _, engine := range []EngineKind{EngineAuto, EnginePerCycle} {
+		cfg := MustDefaultConfig(10)
+		cfg.Engine = engine
+		s := newSim(cfg, packed.Stream())
+		s.inExecQ = cfg.ExecQCap
+		_, err := s.run(time.Now())
+		if !errors.Is(err, ErrNoProgress) {
+			t.Fatalf("engine %d: err = %v, want ErrNoProgress", engine, err)
+		}
+		if s.lastProgress == 0 || s.retired != 0 {
+			t.Fatalf("engine %d: plant did not freeze the machine (last progress %d, retired %d)",
+				engine, s.lastProgress, s.retired)
+		}
+		if want := s.lastProgress + watchdogCycles + 1; s.cycle != want {
+			t.Errorf("engine %d: watchdog fired at cycle %d, want %d", engine, s.cycle, want)
+		}
+		if !strings.HasSuffix(err.Error(), fmt.Sprintf("at cycle %d", s.cycle)) {
+			t.Errorf("engine %d: err = %q does not name abort cycle %d", engine, err, s.cycle)
+		}
+		abort[engine] = s.cycle
+	}
+	if abort[EngineAuto] != abort[EnginePerCycle] {
+		t.Errorf("watchdog cycle: skip-ahead %d, per-cycle %d", abort[EngineAuto], abort[EnginePerCycle])
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // replicate such cycles in O(1).
 //
 // Legality. skipAhead runs only immediately after a cycle the engine
-// itself observed to be quiet (see step: nothing fetched, issued,
+// itself observed to be quiet (see loop: nothing fetched, issued,
 // moved, retired or touched the cache, and the trace-end transition
 // did not fire) that was accounted as a stall. In that situation every
 // stage is blocked, and each stage's blocker is either
@@ -58,21 +58,21 @@ import (
 // and retire counts, which are zero on a quiet cycle. A law that holds
 // on the stepped quiet cycle therefore holds on every cycle replicated
 // from it, so the invariant hook runs on stepped cycles only. A
-// stepped cycle that breached a law is not replicated (step and
-// runFast clear quiet), because per-cycle stepping would record the
+// stepped cycle that breached a law is not replicated (loop does not
+// call skipAhead after it), because per-cycle stepping would record the
 // breach again on every frozen cycle; the recorder thus sees exactly
 // the per-cycle violation sequence. Activity sampling is a gate of its
 // own: wakeCycle bounds every span at the next SampleInterval
 // boundary, so takeSample fires on a stepped cycle with the per-cycle
 // contents.
 //
-// Skip-ahead is disabled (Run never arms s.skip) only when individual
-// cycles must be stepped: an armed tracer, which emits per-cycle
-// events, or the out-of-order window, which re-scans the pending list
-// per cycle. With it disabled, results are produced by per-cycle
-// stepping alone; with it enabled they are bit-identical by
-// construction, which the difftest bit-identity tier verifies
-// end-to-end, bare and with a recorder attached.
+// Skip-ahead is off (newSim leaves s.skip unset) for EnginePerCycle,
+// the reference, and whenever individual cycles must be stepped: an
+// armed tracer, which emits per-cycle events, or the out-of-order
+// window, which re-scans the pending list per cycle. With it off,
+// results are produced by per-cycle stepping alone; with it on they are
+// bit-identical by construction, which the difftest bit-identity tier,
+// the golden step traces and the pinned reference table verify.
 
 // skipAhead replicates the just-stepped quiet stall cycle up to (but
 // not including) the earliest cycle at which any time gate fires.
@@ -82,9 +82,10 @@ func (s *sim) skipAhead() {
 	if s.issued < s.decoded {
 		// Defensive: only replicate while the issue head is provably
 		// blocked. A quiet cycle with an issuable head cannot happen
-		// (stepIssue would have issued it); if it ever did, stepping
+		// (issue would have taken it); if it ever did, stepping
 		// per-cycle is always correct.
-		if !s.headBlocked() {
+		seq := s.issued
+		if _, blocked := s.blockCause(seq, s.w.idx(seq), isa.Class(s.fc.Class[seq])); !blocked {
 			return
 		}
 	}
@@ -200,8 +201,9 @@ func (s *sim) wakeCycle() uint64 {
 //lint:hotpath runs after every quiet stall cycle; must not allocate
 func (s *sim) issueWake(wake uint64) uint64 {
 	t := s.cycle
-	i := s.w.idx(s.issued)
-	c, r1, r2 := s.headOperands(s.issued, i)
+	seq := s.issued
+	i := s.w.idx(seq)
+	c, r1, r2 := isa.Class(s.fc.Class[seq]), s.fc.Src1[seq], s.fc.Src2[seq]
 	switch c {
 	case isa.Load:
 		// A load head is never blocked; the defensive blockCause check
@@ -242,7 +244,7 @@ func (s *sim) depWake(wake uint64, r isa.Reg, t uint64) uint64 {
 		return wake
 	}
 	p := s.w.idx(s.lastWriter[r])
-	if s.slotClass(p) == isa.Load && s.w.dataReady[p] != never {
+	if isa.Class(s.fc.Class[s.w.seq[p]]) == isa.Load && s.w.dataReady[p] != never {
 		wake = boundWake(wake, s.w.dataReady[p], t)
 	}
 	return wake

@@ -13,11 +13,7 @@
 // monitor in package power.
 package pipeline
 
-import (
-	"fmt"
-
-	"repro/internal/isa"
-)
+import "fmt"
 
 // Unit identifies one microarchitectural unit for depth planning and
 // power accounting.
@@ -146,9 +142,9 @@ const (
 // retirement, held as flat struct-of-arrays indexed by window slot
 // (seq mod capacity): the per-slot scheduling fields the hot loop
 // touches every cycle live in their own contiguous arrays instead of
-// behind per-entry pointers.
+// behind per-entry pointers. Instruction fields are not copied in; the
+// engine reads them from the packed trace columns by sequence number.
 type window struct {
-	in        []isa.Instruction
 	seq       []uint64 // sequence number (guards window-slot reuse)
 	dataReady []uint64 // mem ops: cycle the cache data is available
 	issuedAt  []uint64 // issue cycle (never until issued)
@@ -167,10 +163,7 @@ type window struct {
 	num  uint64
 }
 
-// makeWindow allocates the scheduling arrays. The record-copy column
-// in is allocated by the caller only on the per-cycle path — the fused
-// packed loop (fastsim.go) reads the trace columns directly and leaves
-// it nil.
+// makeWindow allocates the scheduling arrays.
 func makeWindow(capacity int) window {
 	w := window{
 		seq:        make([]uint64, capacity),

@@ -164,16 +164,21 @@ func TestZeroAllocsPerCycleSkipAhead(t *testing.T) {
 }
 
 // packedIterationAllocs measures steady-state allocations per record
-// of PackedTrace cursor iteration — the fetch stage's per-cycle feed.
+// of PackedTrace cursor iteration (Next), the record-materializing
+// view of a packed trace.
 func packedIterationAllocs(t testing.TB, packed *trace.PackedTrace) float64 {
 	t.Helper()
 	s := packed.Stream()
 	var sink isa.Instruction
-	return testing.AllocsPerRun(1000, func() {
-		if !s.NextInto(&sink) {
+	allocs := testing.AllocsPerRun(1000, func() {
+		if in, ok := s.Next(); ok {
+			sink = in
+		} else {
 			s.Reset()
 		}
 	})
+	_ = sink
+	return allocs
 }
 
 // TestZeroAllocsPerPackedRecord pins packed-trace iteration at zero

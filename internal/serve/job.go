@@ -213,7 +213,9 @@ func (j *Job) StalledNow() bool {
 func (j *Job) notePoint(p core.Progress) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.donePoints = p.Done
+	// Workers report concurrently, so a point's callback can arrive
+	// after a later one's: keep the published counter monotone.
+	j.donePoints = max(j.donePoints, p.Done)
 	j.lastBeat = time.Now()
 	if p.CacheHit {
 		j.cacheHits++

@@ -569,9 +569,9 @@ func (s *Server) runJob(j *Job) {
 	if s.beforeRun != nil {
 		s.beforeRun(j)
 	}
+	// finishJob ends the job span.
 	jsp := s.spans.Start("job",
 		span.String("job", j.ID), span.Int("points", j.Total))
-	defer jsp.End()
 
 	cfg, err := j.Spec.StudyConfig()
 	if err == nil {
@@ -605,43 +605,48 @@ func (s *Server) runJob(j *Job) {
 	s.finishJob(j, jsp, nil, 0, fmt.Errorf("spec became invalid after admission: %w", err))
 }
 
-// finishJob folds a catalog run into the job's terminal state. The
-// ledger event is emitted only when this call won the terminal
-// transition (finish returned true), so a job that raced a cancel
-// still produces exactly one event.
+// finishJob folds a catalog run into the job's terminal state. It ends
+// the job span first, so a client that observes the terminal state also
+// sees span.job_us. The ledger event is emitted only when this call won
+// the terminal transition (finish returned true), so a job that raced a
+// cancel still produces exactly one event.
 func (s *Server) finishJob(j *Job, jsp *span.Span, sweeps []*core.Sweep, us int64, err error) {
 	now := time.Now()
+	end := func(state State) {
+		jsp.SetAttr("state", string(state))
+		jsp.End()
+	}
 	var won bool
 	switch {
 	case err != nil && (errors.Is(err, errCanceled) || j.ctx.Err() != nil):
+		end(StateCanceled)
 		won = j.finish(StateCanceled, nil, "canceled", now)
 		s.reg.Counter("serve.jobs_canceled").Inc()
-		jsp.SetAttr("state", string(StateCanceled))
 		s.log.Info("job canceled", "job", j.ID)
 	case err != nil:
+		end(StateFailed)
 		won = j.finish(StateFailed, nil, err.Error(), now)
 		s.reg.Counter("serve.jobs_failed").Inc()
-		jsp.SetAttr("state", string(StateFailed))
 		s.log.Error("job failed", "job", j.ID, "err", err)
 	default:
 		data, merr := json.Marshal(BuildResult(j.Spec, sweeps))
 		if merr != nil {
+			end(StateFailed)
 			won = j.finish(StateFailed, nil, "encode result: "+merr.Error(), now)
 			s.reg.Counter("serve.jobs_failed").Inc()
-			jsp.SetAttr("state", string(StateFailed))
 			s.log.Error("job result encoding failed", "job", j.ID, "err", merr)
 			break
 		}
+		end(StateDone)
 		won = j.finish(StateDone, data, "", now)
 		s.reg.Counter("serve.jobs_completed").Inc()
-		jsp.SetAttr("state", string(StateDone))
 		st := j.Status()
 		s.log.Info("job done", "job", j.ID, "points", st.Points,
 			"cache_hits", st.CacheHits, "wall_sec", st.WallSec, "us", us)
 	}
 	if won {
 		// The workload/point child spans have all ended by now, so the
-		// rollup under the (still-open, excluded) job span is complete.
+		// rollup under the job span (itself excluded) is complete.
 		s.noteTerminalJob(j, jsp, now)
 	}
 }

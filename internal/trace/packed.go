@@ -304,29 +304,6 @@ func (s *PackedStream) Next() (isa.Instruction, bool) {
 	return in, true
 }
 
-// NextInto advances the cursor one record, materializing it directly
-// into dst — the simulator's fetch stage writes straight into its
-// window slot, skipping the by-value copy of Next.
-//
-//lint:hotpath per-fetch stream advance on the packed fast path; must not allocate
-func (s *PackedStream) NextInto(dst *isa.Instruction) bool {
-	if s.pos >= s.hi {
-		return false
-	}
-	p, i := s.t, s.pos
-	s.pos++
-	dst.PC = p.pc[i]
-	dst.Addr = p.addr[i]
-	dst.Target = p.target[i]
-	dst.Dst = p.dst[i]
-	dst.Src1 = p.src1[i]
-	dst.Src2 = p.src2[i]
-	dst.Class = isa.Class(p.class[i])
-	dst.Taken = p.flags[i]&packedTaken != 0
-	dst.FPLat = p.fplat[i]
-	return true
-}
-
 // Reset implements Resettable, rewinding to the window start.
 func (s *PackedStream) Reset() { s.pos = s.lo }
 

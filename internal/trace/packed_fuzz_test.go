@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -17,7 +16,7 @@ import (
 // FuzzPackedTraceRoundTrip feeds arbitrary workload profiles through
 // the generator → PackStream path the study runner uses, and asserts
 // the packed form is a faithful re-representation of the record
-// stream: Unpack, At and NextInto all reproduce the reference stream
+// stream: Unpack, At and Next all reproduce the reference stream
 // exactly, and packing the same records in arbitrary chunk sizes
 // yields the same trace as the one-shot pack. Profiles the schema
 // rejects are skipped — the fuzzer's job is the packed codec, not
@@ -80,10 +79,13 @@ func FuzzPackedTraceRoundTrip(f *testing.F) {
 
 		// The cursor view must replay the same records.
 		s := p.Stream()
-		var in isa.Instruction
-		for i := 0; s.NextInto(&in); i++ {
+		for i := 0; ; i++ {
+			in, ok := s.Next()
+			if !ok {
+				break
+			}
 			if in != ref[i] {
-				t.Fatalf("NextInto record %d = %+v, want %+v", i, in, ref[i])
+				t.Fatalf("Next record %d = %+v, want %+v", i, in, ref[i])
 			}
 		}
 

@@ -225,9 +225,8 @@ func TestPackedStreamCursor(t *testing.T) {
 		t.Fatal("exhausted cursor yielded a record")
 	}
 	s.Reset()
-	var dst isa.Instruction
-	if !s.NextInto(&dst) || dst != ins[10] {
-		t.Fatalf("NextInto after Reset = %+v, want %+v", dst, ins[10])
+	if in, ok := s.Next(); !ok || in != ins[10] {
+		t.Fatalf("Next after Reset = %+v, want %+v", in, ins[10])
 	}
 	s.Skip(5)
 	if in, ok := s.Next(); !ok || in != ins[16] {
@@ -297,8 +296,7 @@ func TestPackedTraceStreamSharing(t *testing.T) {
 }
 
 // TestPackedIterationAllocFree pins the hot-path accessors at zero
-// steady-state allocations per record: the simulator's fused loop and
-// fetch stage call these once or more per cycle.
+// steady-state allocations per record.
 func TestPackedIterationAllocFree(t *testing.T) {
 	ins := packedTestStream(1024, 31)
 	p, err := Pack(ins)
@@ -307,13 +305,6 @@ func TestPackedIterationAllocFree(t *testing.T) {
 	}
 	s := p.Stream()
 	var sink isa.Instruction
-	if avg := testing.AllocsPerRun(200, func() {
-		if !s.NextInto(&sink) {
-			s.Reset()
-		}
-	}); avg != 0 {
-		t.Fatalf("NextInto allocates %.1f/op, want 0", avg)
-	}
 	if avg := testing.AllocsPerRun(200, func() {
 		if in, ok := s.Next(); ok {
 			sink = in

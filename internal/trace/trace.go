@@ -82,6 +82,10 @@ func NewLimitStream(src Stream, n int) *LimitStream {
 	return &LimitStream{src: src, left: n}
 }
 
+// Len returns the most instructions the stream can still yield (fewer
+// if the source ends first).
+func (l *LimitStream) Len() int { return max(l.left, 0) }
+
 // Next implements Stream.
 func (l *LimitStream) Next() (isa.Instruction, bool) {
 	if l.left <= 0 {
