@@ -12,8 +12,7 @@
 //	conformance -workloads si95-gcc,sf-swim -depths 4,8,12,20
 //	conformance -out report.json         # machine-readable report
 //	conformance -json                    # report on stdout
-//	conformance -bench-out BENCH_conformance.json
-//	                                     # append throughput + invariant-overhead record
+//	conformance -profile-dir prof/       # CPU/heap/allocs pprof capture
 //
 // Self-test:
 //
@@ -34,12 +33,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/difftest"
-	"repro/internal/invariant"
 	"repro/internal/logx"
-	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -62,8 +57,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		listMuts  = fs.Bool("list-mutations", false, "print the injectable violation classes and exit")
 		outPath   = fs.String("out", "", "write the JSON report to this file")
 		jsonOut   = fs.Bool("json", false, "print the JSON report on stdout instead of the summary table")
-		benchOut  = fs.String("bench-out", "", "append a conformance bench record (throughput, invariant-engine overhead) to this JSONL file")
-		profDir   = fs.String("profile-dir", "", "capture CPU/heap/allocs pprof profiles and a hot-function summary into this directory")
+		profDir   = fs.String("profile-dir", "", "capture CPU/heap/allocs pprof profiles into this directory")
 	)
 	logOpts := logx.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -121,11 +115,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	start := time.Now()
 	rep, err := difftest.Run(opts)
-	if sum, perr := capture.Stop(); perr != nil {
+	if perr := capture.Stop(); perr != nil {
 		log.Error("stop profiling", "err", perr)
 		return 1
 	} else if capture != nil {
-		log.Info("wrote profiles", "dir", capture.Dir(), "hot_funcs", len(sum.Top))
+		log.Info("wrote profiles", "dir", capture.Dir())
 	}
 	if err != nil {
 		log.Error("conformance harness failed", "err", err)
@@ -155,13 +149,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		log.Info("wrote report", "path", *outPath)
-	}
-
-	if *benchOut != "" {
-		if err := appendBench(*benchOut, opts, rep, start, log.Info); err != nil {
-			log.Error("append bench record", "err", err)
-			return 1
-		}
 	}
 
 	if !rep.OK {
@@ -196,100 +183,4 @@ func printSummary(w io.Writer, rep *difftest.Report) {
 		}
 	}
 	fmt.Fprintf(w, "\n%d passed, %d failed\n", rep.Passed, rep.Failed)
-}
-
-// benchRounds is the best-of-N count for each timed leg of the bench
-// measurement.
-const benchRounds = 3
-
-// appendBench measures the invariant engine's cost on a small sweep —
-// design-point throughput with the engine detached (the production
-// default) and attached, plus the per-cycle reference engine — and
-// appends the conformance bench record. Each leg is timed
-// benchRounds times and keeps its best rate; the leg order rotates
-// every round, so each leg runs once in every position and no leg
-// always inherits the memo and heap state its predecessor left.
-func appendBench(path string, opts difftest.Options, rep *difftest.Report, start time.Time,
-	info func(msg string, args ...any)) error {
-	profiles := opts.Profiles
-	legs := []struct {
-		observed bool
-		engine   pipeline.EngineKind
-		best     float64
-	}{
-		{false, pipeline.EngineAuto, 0},
-		{true, pipeline.EngineAuto, 0},
-		// The before/after pair for the skip-ahead engine: the same
-		// matrix with per-cycle reference stepping forced is the
-		// "before".
-		{false, pipeline.EnginePerCycle, 0},
-	}
-	points := 0
-	for round := 0; round < benchRounds; round++ {
-		for i := range legs {
-			leg := &legs[(i+round)%len(legs)]
-			cfg := core.StudyConfig{
-				Depths:       opts.Depths,
-				Instructions: opts.Instructions,
-				Warmup:       opts.Warmup,
-				Engine:       leg.engine,
-			}
-			if leg.observed {
-				cfg.Invariants = invariant.New(nil)
-			}
-			t0 := time.Now()
-			sweeps, err := core.RunCatalog(cfg, profiles)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(t0).Seconds()
-			n := 0
-			for _, sw := range sweeps {
-				n += len(sw.Points)
-			}
-			points = n
-			leg.best = max(leg.best, float64(n)/elapsed)
-		}
-	}
-	offRate, onRate, perCycleRate := legs[0].best, legs[1].best, legs[2].best
-	seedRate := bench.SeedRate(path, func(r bench.Record) float64 {
-		if r.PointsPerSecOff == nil {
-			return 0
-		}
-		return *r.PointsPerSecOff
-	})
-
-	rec := bench.NewRecord("conformance", start)
-	rec.Points = points
-	rec.ChecksPassed = rep.Passed
-	rec.ChecksFailed = bench.Ptr(rep.Failed)
-	var violations uint64
-	for _, rc := range rep.Violations {
-		violations += rc.Count
-	}
-	rec.Violations = bench.Ptr(violations)
-	rec.PointsPerSecOff = bench.Ptr(offRate)
-	rec.PointsPerSecOn = bench.Ptr(onRate)
-	rec.PointsPerSecPerCycle = bench.Ptr(perCycleRate)
-	overhead := "n/a"
-	if onRate > 0 {
-		frac := offRate/onRate - 1
-		rec.InvariantOverhead = &frac
-		overhead = fmt.Sprintf("%.1f%%", 100*frac)
-	}
-	if seedRate > 0 {
-		rec.SpeedupVsSeed = offRate / seedRate
-	}
-	rec.CacheMisses = uint64(points)
-	rec.Finish(start)
-	if err := bench.Append(path, rec); err != nil {
-		return err
-	}
-	info("appended bench record", "path", path,
-		"points_per_sec_off", fmt.Sprintf("%.1f", offRate),
-		"points_per_sec_on", fmt.Sprintf("%.1f", onRate),
-		"points_per_sec_per_cycle", fmt.Sprintf("%.1f", perCycleRate),
-		"speedup_vs_seed", fmt.Sprintf("%.2fx", rec.SpeedupVsSeed),
-		"overhead", overhead)
-	return nil
 }

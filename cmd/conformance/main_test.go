@@ -133,32 +133,3 @@ func TestJSONReportOutputs(t *testing.T) {
 		t.Fatalf("check lists differ: %d vs %d", len(fromStdout.Checks), len(fromFile.Checks))
 	}
 }
-
-func TestBenchRecordAppended(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_conformance.json")
-	code, _, stderr := runCLI(t, fastArgs("-bench-out", path))
-	if code != 0 {
-		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec struct {
-		Tool            string  `json:"tool"`
-		ChecksPassed    int     `json:"checks_passed"`
-		ChecksFailed    int     `json:"checks_failed"`
-		PointsPerSecOff float64 `json:"points_per_sec_invariants_off"`
-		PointsPerSecOn  float64 `json:"points_per_sec_invariants_on"`
-	}
-	if err := json.Unmarshal(bytes.TrimSpace(raw), &rec); err != nil {
-		t.Fatalf("bench record not JSON: %v\n%s", err, raw)
-	}
-	if rec.Tool != "conformance" || rec.ChecksPassed == 0 || rec.ChecksFailed != 0 {
-		t.Fatalf("unexpected record: %+v", rec)
-	}
-	if rec.PointsPerSecOff <= 0 || rec.PointsPerSecOn <= 0 {
-		t.Fatalf("missing throughput figures: %+v", rec)
-	}
-}

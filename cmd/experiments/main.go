@@ -161,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		metricsOut = fs.String("metrics-out", "", "write a JSONL metrics dump (manifest + per-experiment timing and row counts) to this file")
 		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, /progress and /dash on this address (e.g. localhost:6060)")
-		profDir    = fs.String("profile-dir", "", "capture CPU/heap/allocs pprof profiles and a hot-function summary into this directory")
+		profDir    = fs.String("profile-dir", "", "capture CPU/heap/allocs pprof profiles into this directory")
 	)
 	logOpts := logx.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -212,12 +212,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// still lands the capture; a stop failure is logged, not fatal —
 		// the experiment results are already out.
 		defer func() {
-			sum, err := capture.Stop()
-			if err != nil {
+			if err := capture.Stop(); err != nil {
 				log.Error("stop profiling", "err", err)
 				return
 			}
-			log.Info("wrote profiles", "dir", capture.Dir(), "hot_funcs", len(sum.Top))
+			log.Info("wrote profiles", "dir", capture.Dir())
 		}()
 	}
 	runStart := time.Now()

@@ -23,12 +23,10 @@
 //	                                         # /progress (SSE), /dash (live UI)
 //	sweep -pprof :0 -linger 30s              # keep the server up after the
 //	                                         # sweep so scrapers can collect
-//	sweep -bench-out BENCH_sweep.json        # append a throughput record
 //	sweep -log-level debug -log-format json  # structured diagnostics
-//	sweep -profile-dir prof/                 # CPU/heap/allocs pprof capture,
+//	sweep -profile-dir prof/                 # CPU/heap/allocs pprof capture and
 //	                                         # hierarchical span trace
-//	                                         # (spans.jsonl + Chrome view) and
-//	                                         # a top-N hot-function summary
+//	                                         # (spans.jsonl + Chrome view)
 package main
 
 import (
@@ -42,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/logx"
 	"repro/internal/metrics"
@@ -128,8 +125,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		metricsOut = fs.String("metrics-out", "", "write a JSONL metrics dump (manifest + counters aggregated over the sweep) to this file")
 		pprofAddr  = fs.String("pprof", "", "serve /debug/pprof, /debug/vars, /metrics, /progress and /dash on this address (e.g. localhost:6060)")
 		linger     = fs.Duration("linger", 0, "keep the -pprof server alive this long after the sweep finishes (for scrapers)")
-		benchOut   = fs.String("bench-out", "", "append a throughput record (wall time, points/sec, cache hit rate) to this JSONL file")
-		profileDir = fs.String("profile-dir", "", "capture CPU/heap/allocs pprof profiles, a span trace (spans.jsonl + spans_trace.json) and a hot-function summary into this directory")
+		profileDir = fs.String("profile-dir", "", "capture CPU/heap/allocs pprof profiles and a span trace (spans.jsonl + spans_trace.json) into this directory")
 	)
 	logOpts := logx.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -147,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	var reg *telemetry.Registry
-	if *metricsOut != "" || *pprofAddr != "" || *benchOut != "" || *profileDir != "" {
+	if *metricsOut != "" || *pprofAddr != "" || *profileDir != "" {
 		reg = telemetry.NewRegistry()
 		reg.PublishExpvar("repro_metrics")
 	}
@@ -357,17 +353,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *profileDir != "" {
 		// Stop the capture before exporting: the exports themselves are
 		// bookkeeping, not sweep cost, and Stop writes the heap/allocs
-		// snapshots plus summary.json into the directory.
-		sum, err := capture.Stop()
-		if err != nil {
+		// snapshots into the directory.
+		if err := capture.Stop(); err != nil {
 			return fail(err)
-		}
-		for i, hf := range sum.Top {
-			if i >= 5 {
-				break
-			}
-			man.SetParam(fmt.Sprintf("hot_func_%d", i),
-				fmt.Sprintf("%s %.1f%%", hf.Name, 100*hf.Frac))
 		}
 		if err := writeTo(filepath.Join(*profileDir, "spans.jsonl"), func(f *os.File) error {
 			return spans.WriteJSONL(f, &man)
@@ -379,12 +367,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}); err != nil {
 			return fail(err)
 		}
-		hot := "none (sweep too short for CPU samples)"
-		if len(sum.Top) > 0 {
-			hot = fmt.Sprintf("%s %.1f%%", sum.Top[0].Name, 100*sum.Top[0].Frac)
-		}
 		log.Info("wrote profiles", "dir", *profileDir,
-			"spans", spans.Len(), "spans_dropped", spans.Dropped(), "hottest", hot)
+			"spans", spans.Len(), "spans_dropped", spans.Dropped())
 	}
 
 	if reg != nil {
@@ -431,45 +415,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			FitErrors:    fitErrors,
 			WallSec:      wall.Seconds(),
 		})
-	}
-
-	if *benchOut != "" {
-		rec := bench.NewRecord("sweep", start)
-		rec.Workload = prof.Name
-		rec.Points = len(s.Points)
-		rec.FitErrors = uint64(fitErrors)
-		if cache != nil {
-			st := cache.Stats()
-			rec.CacheHits, rec.CacheMisses = st.Hits, st.Misses
-			rec.CacheHitRate = st.HitRate()
-		} else {
-			rec.CacheMisses = uint64(len(s.Points))
-		}
-		if reg != nil {
-			rec.Phases = map[string]bench.Phase{
-				"point":        bench.PhaseFrom(reg.Histogram("sweep.point_us")),
-				"point_cached": bench.PhaseFrom(reg.Histogram("sweep.point_cached_us")),
-			}
-			if spans != nil {
-				// Span-phase quantiles make the trajectory answer not
-				// just "slower?" but "which phase got slower?".
-				for _, ph := range []string{"pack", "decode", "warmup", "simulate", "power", "fit"} {
-					if p := bench.PhaseFrom(reg.Histogram("span." + ph + "_us")); p.Count > 0 {
-						rec.Phases[ph] = p
-					}
-				}
-			}
-		}
-		rec.Finish(start)
-		if seed := bench.SeedRate(*benchOut, func(r bench.Record) float64 { return r.PointsPerSec }); seed > 0 {
-			rec.SpeedupVsSeed = rec.PointsPerSec / seed
-		}
-		if err := bench.Append(*benchOut, rec); err != nil {
-			return fail(err)
-		}
-		log.Info("appended bench record", "path", *benchOut,
-			"points_per_sec", fmt.Sprintf("%.1f", rec.PointsPerSec),
-			"speedup_vs_seed", fmt.Sprintf("%.2fx", rec.SpeedupVsSeed))
 	}
 
 	if dbg != nil && *linger > 0 {

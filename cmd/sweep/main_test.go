@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/bench"
 )
 
 // fastArgs keeps CLI tests quick: few depths, short seeded runs.
@@ -86,19 +84,18 @@ func TestRunWarmCacheByteIdentical(t *testing.T) {
 }
 
 // TestRunProfileDir is the cost-attribution acceptance check: one
-// -profile-dir run must leave pprof captures, a hot-function summary,
-// and a span trace whose per-point phase durations are consistent —
-// each point's phases sum to no more than the point span itself
-// (within clock tolerance), and the points nest under one workload
-// span covering them all.
+// -profile-dir run must leave pprof captures and a span trace whose
+// intervals are consistent. Every span lies inside its parent (within
+// clock tolerance). Each point's phases run one after another, so they
+// also sum to no more than the point span itself; the points under the
+// workload span run concurrently, so their durations may sum past it.
 func TestRunProfileDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "prof")
-	benchPath := filepath.Join(t.TempDir(), "BENCH_sweep.json")
-	code, _, stderr := runCLI(t, fastArgs("-profile-dir", dir, "-bench-out", benchPath))
+	code, _, stderr := runCLI(t, fastArgs("-profile-dir", dir))
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr)
 	}
-	for _, name := range []string{"cpu.pprof", "heap.pprof", "allocs.pprof", "summary.json", "spans.jsonl", "spans_trace.json"} {
+	for _, name := range []string{"cpu.pprof", "heap.pprof", "allocs.pprof", "spans.jsonl", "spans_trace.json"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Errorf("missing artifact: %v", err)
 		}
@@ -138,7 +135,17 @@ func TestRunProfileDir(t *testing.T) {
 		byID[s.ID] = s
 	}
 	for _, s := range spans {
-		kidSums[s.Parent] += s.DurUS
+		if parent, ok := byID[s.Parent]; ok {
+			if parent.Name == "point" {
+				kidSums[s.Parent] += s.DurUS
+			}
+			if s.StartUS < parent.StartUS-tolUS ||
+				s.StartUS+s.DurUS > parent.StartUS+parent.DurUS+tolUS {
+				t.Errorf("span %s#%d [%.0f, %.0f]µs outside parent %s#%d [%.0f, %.0f]µs",
+					s.Name, s.ID, s.StartUS, s.StartUS+s.DurUS,
+					parent.Name, parent.ID, parent.StartUS, parent.StartUS+parent.DurUS)
+			}
+		}
 		switch s.Name {
 		case "point":
 			points++
@@ -150,28 +157,9 @@ func TestRunProfileDir(t *testing.T) {
 		t.Fatalf("span census: %d points, %d fits (want 5, 1)", points, fits)
 	}
 	for id, sum := range kidSums {
-		parent, ok := byID[id]
-		if !ok {
-			continue // children of the root have parent 0
-		}
-		if sum > parent.DurUS+tolUS {
+		if parent := byID[id]; sum > parent.DurUS+tolUS {
 			t.Errorf("span %s#%d: children sum to %.0fµs, span only %.0fµs",
 				parent.Name, id, sum, parent.DurUS)
-		}
-	}
-
-	// The bench record carries the span-phase quantiles.
-	recs, err := bench.Load(benchPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("bench records = %d, want 1", len(recs))
-	}
-	for _, ph := range []string{"simulate", "power", "fit"} {
-		p, ok := recs[0].Phases[ph]
-		if !ok || p.Count == 0 {
-			t.Errorf("bench record missing span phase %q: %+v", ph, recs[0].Phases)
 		}
 	}
 }

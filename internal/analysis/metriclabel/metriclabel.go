@@ -17,8 +17,8 @@
 //     canonical cycle-budget bucket name;
 //   - span.Tracer.Start / span.Span.Child(name): the span name against
 //     the canonical cost-attribution vocabulary (promexp.SpanNames) —
-//     the span histograms, trace viewers and benchdiff phase comparison
-//     all key on these names, so an ad-hoc name forks the taxonomy.
+//     the span histograms, trace viewers and the benchmark's per-layer
+//     attribution all key on these names, so an ad-hoc name forks the taxonomy.
 //
 // Constant-folded arguments are checked exactly; concatenations with a
 // constant head ("resultcache." + name) have the head checked as a

@@ -14,8 +14,8 @@
 // Cost discipline: checks run only when a *Recorder is attached.
 // Every instrumented hot-path site guards itself with one nil/bool
 // branch, so a disabled engine adds a single predictable branch per
-// site and no allocation — measured against the sweep benchmark in
-// BENCH_conformance.json.
+// site and no allocation. The repository benchmark's catalog-observed
+// workload (perfbench/) measures the attached cost end to end.
 //
 // The package depends only on telemetry (and stdlib), so any layer —
 // pipeline, power, core, difftest — can attach a Recorder without

@@ -1,29 +1,23 @@
 // Package profile wraps runtime/pprof into a one-call capture for the
-// CLIs: Start begins a CPU profile into a directory, Stop finishes it,
-// snapshots heap and allocation profiles alongside, and summarizes the
-// top-N hot functions into a machine-readable summary.json (and the
-// run manifest, via Summary). The summarizer is a minimal stdlib-only
-// reader of the gzipped-protobuf profile format — enough to rank flat
-// (leaf-frame) sample weight by function, which is what the hot-loop
-// optimization work needs from CI artifacts without external tooling.
+// CLIs: Start begins a CPU profile into a directory, and Stop finishes
+// it and snapshots heap and allocation profiles alongside. The files
+// are standard pprof protobufs; rank hot functions with
+// `go tool pprof -top <dir>/cpu.pprof`.
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 )
 
 // File names written into the capture directory.
 const (
-	CPUFile     = "cpu.pprof"
-	HeapFile    = "heap.pprof"
-	AllocsFile  = "allocs.pprof"
-	SummaryFile = "summary.json"
+	CPUFile    = "cpu.pprof"
+	HeapFile   = "heap.pprof"
+	AllocsFile = "allocs.pprof"
 )
 
 // Capture is an in-progress profiling session. A nil *Capture is the
@@ -49,61 +43,29 @@ func Start(dir string) (*Capture, error) {
 	return &Capture{dir: dir, cpu: f}, nil
 }
 
-// HotFunc is one entry of the flat hot-function ranking.
-type HotFunc struct {
-	// Name is the function at the sample's leaf frame.
-	Name string `json:"name"`
-	// Value is the function's flat sample weight in Unit.
-	Value int64 `json:"value"`
-	// Frac is Value over the profile total.
-	Frac float64 `json:"frac"`
-}
-
-// Summary is the digest of one capture, written as summary.json and
-// foldable into a run manifest.
-type Summary struct {
-	// Unit names the ranked value's unit ("nanoseconds" for CPU).
-	Unit string `json:"unit"`
-	// Total is the profile's total sample weight in Unit.
-	Total int64 `json:"total"`
-	// Top ranks the hottest functions by flat weight, descending.
-	Top []HotFunc `json:"top"`
-}
-
-// TopN is how many hot functions a capture summarizes.
-const TopN = 10
-
-// Stop finishes the CPU profile, snapshots the heap and allocation
-// profiles, and writes (and returns) the hot-function summary. Safe on
-// a nil Capture.
-func (c *Capture) Stop() (Summary, error) {
+// Stop finishes the CPU profile and snapshots the heap and allocation
+// profiles. Safe on a nil Capture.
+func (c *Capture) Stop() error {
 	if c == nil {
-		return Summary{}, nil
+		return nil
 	}
 	pprof.StopCPUProfile()
 	if err := c.cpu.Close(); err != nil {
-		return Summary{}, fmt.Errorf("profile: %w", err)
+		return fmt.Errorf("profile: %w", err)
 	}
 	// An up-to-date heap profile wants a GC first (the "heap" profile
 	// reports live objects as of the last collection).
 	runtime.GC()
 	for _, p := range []string{"heap", "allocs"} {
-		if err := writeLookup(filepath.Join(c.dir, p+".pprof"), p); err != nil {
-			return Summary{}, err
+		f, err := os.Create(filepath.Join(c.dir, p+".pprof"))
+		if err != nil {
+			return fmt.Errorf("profile: %w", err)
+		}
+		if err := writeLookup(f, p, 0); err != nil {
+			return err
 		}
 	}
-	sum, err := SummarizeFile(filepath.Join(c.dir, CPUFile), TopN)
-	if err != nil {
-		return Summary{}, err
-	}
-	data, err := json.MarshalIndent(sum, "", "  ")
-	if err != nil {
-		return Summary{}, fmt.Errorf("profile: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(c.dir, SummaryFile), append(data, '\n'), 0o644); err != nil {
-		return Summary{}, fmt.Errorf("profile: %w", err)
-	}
-	return sum, nil
+	return nil
 }
 
 // Dir returns the capture directory ("" on a nil Capture).
@@ -114,20 +76,9 @@ func (c *Capture) Dir() string {
 	return c.dir
 }
 
-func writeLookup(path, name string) error {
-	return writeLookupDebug(path, name, 0)
-}
-
-func writeLookupDebug(path, name string, debug int) error {
-	p := pprof.Lookup(name)
-	if p == nil {
-		return fmt.Errorf("profile: unknown profile %q", name)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("profile: %w", err)
-	}
-	werr := p.WriteTo(f, debug)
+// writeLookup writes the named runtime profile to f and closes it.
+func writeLookup(f *os.File, name string, debug int) error {
+	werr := pprof.Lookup(name).WriteTo(f, debug)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
@@ -141,61 +92,25 @@ func writeLookupDebug(path, name string, debug int) error {
 // stack (pprof "goroutine" profile at debug level 2 — the same format
 // a fatal panic prints) to path, creating the parent directory if
 // needed. This is the watchdog's postmortem capture: when a job
-// stalls, the dump shows where every worker is blocked.
+// stalls, the dump shows where every worker is blocked. The dump is
+// written to a temporary file in the same directory and renamed into
+// place, so a reader that sees path sees the whole dump.
 func GoroutineDump(path string) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("profile: %w", err)
 	}
-	return writeLookupDebug(path, "goroutine", 2)
-}
-
-// SummarizeFile parses a pprof profile file and ranks the topN hottest
-// functions by flat (leaf-frame) sample weight.
-func SummarizeFile(path string, topN int) (Summary, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
-		return Summary{}, fmt.Errorf("profile: %w", err)
+		return fmt.Errorf("profile: %w", err)
 	}
-	return Summarize(data, topN)
-}
-
-// Summarize ranks the topN hottest functions of a raw (optionally
-// gzipped) protobuf profile by flat sample weight. An empty profile
-// (e.g. a CPU capture too short to sample) summarizes to zero totals,
-// not an error.
-func Summarize(data []byte, topN int) (Summary, error) {
-	p, err := parseProfile(data)
-	if err != nil {
-		return Summary{}, err
+	if err := writeLookup(f, "goroutine", 2); err != nil {
+		os.Remove(f.Name())
+		return err
 	}
-	vi := p.valueIndex()
-	flat := make(map[string]int64)
-	var total int64
-	for _, s := range p.samples {
-		if vi >= len(s.values) || len(s.locationIDs) == 0 {
-			continue
-		}
-		v := s.values[vi]
-		total += v
-		flat[p.leafFunction(s.locationIDs[0])] += v
+	if err := os.Rename(f.Name(), path); err != nil {
+		os.Remove(f.Name())
+		return fmt.Errorf("profile: %w", err)
 	}
-	sum := Summary{Unit: p.valueUnit(vi), Total: total}
-	for name, v := range flat {
-		sum.Top = append(sum.Top, HotFunc{Name: name, Value: v})
-	}
-	sort.Slice(sum.Top, func(i, j int) bool {
-		if sum.Top[i].Value != sum.Top[j].Value {
-			return sum.Top[i].Value > sum.Top[j].Value
-		}
-		return sum.Top[i].Name < sum.Top[j].Name
-	})
-	if topN > 0 && len(sum.Top) > topN {
-		sum.Top = sum.Top[:topN]
-	}
-	if total > 0 {
-		for i := range sum.Top {
-			sum.Top[i].Frac = float64(sum.Top[i].Value) / float64(total)
-		}
-	}
-	return sum, nil
+	return nil
 }

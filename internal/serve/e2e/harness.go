@@ -21,7 +21,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/serve"
 	"repro/internal/serve/spec"
 	"repro/internal/telemetry"
@@ -262,7 +261,18 @@ type LoadResult struct {
 	Studies   int
 	Requests  uint64
 	WallSec   float64
-	RoundTrip bench.Phase // full submit→done→result round trips
+	RoundTrip Latency // full submit→done→result round trips
+}
+
+// Latency holds exact quantiles of raw duration samples, in
+// microseconds.
+type Latency struct {
+	Count  uint64
+	MeanUS float64
+	P50US  float64
+	P95US  float64
+	P99US  float64
+	MaxUS  float64
 }
 
 // RunLoad drives the server with `clients` concurrent clients, each
@@ -316,14 +326,14 @@ func (h *Harness) RunLoad(t *testing.T, clients, perClient int, mkSpec func(c, i
 		Requests: requests,
 		WallSec:  time.Since(start).Seconds(),
 	}
-	res.RoundTrip = phaseOf(samples)
+	res.RoundTrip = latencyOf(samples)
 	return res
 }
 
-// phaseOf computes exact quantiles from raw duration samples.
-func phaseOf(us []float64) bench.Phase {
+// latencyOf computes exact quantiles from raw duration samples.
+func latencyOf(us []float64) Latency {
 	if len(us) == 0 {
-		return bench.Phase{}
+		return Latency{}
 	}
 	sorted := append([]float64(nil), us...)
 	sort.Float64s(sorted)
@@ -335,7 +345,7 @@ func phaseOf(us []float64) bench.Phase {
 		i := int(p * float64(len(sorted)-1))
 		return sorted[i]
 	}
-	return bench.Phase{
+	return Latency{
 		Count:  uint64(len(sorted)),
 		MeanUS: sum / float64(len(sorted)),
 		P50US:  q(0.50),

@@ -2,23 +2,16 @@ package e2e
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/ledger"
 	"repro/internal/serve"
 	"repro/internal/serve/spec"
 	"repro/internal/slo"
 	"repro/internal/workload"
 )
-
-// -serve-bench-out appends a load-test record to a BENCH trajectory
-// file (conventionally BENCH_serve.json); CI uploads it as an
-// artifact and cmd/benchdiff gates regressions against it.
-var serveBenchOut = flag.String("serve-bench-out", "", "append a depthd load-test bench record to this file")
 
 // TestLoadCachedRepeatsAreCacheLookups is the load harness: N
 // concurrent clients hammer the server, a warm wave first fills the
@@ -64,7 +57,6 @@ func TestLoadCachedRepeatsAreCacheLookups(t *testing.T) {
 	warmResult := h.ResultBytes(t, warm.ID)
 
 	// Load wave: every client repeats the identical spec.
-	start := time.Now()
 	lr := h.RunLoad(t, clients, perClient, func(c, i int) spec.Spec { return sp })
 
 	// O(cache lookup): the simulated-point count did not move — all
@@ -111,10 +103,6 @@ func TestLoadCachedRepeatsAreCacheLookups(t *testing.T) {
 	if q99 <= 0 || q99 > 2*lr.RoundTrip.MaxUS {
 		t.Errorf("/v1/query p99 = %.0fµs outside (0, 2×max round trip %.0fµs]",
 			q99, lr.RoundTrip.MaxUS)
-	}
-
-	if *serveBenchOut != "" {
-		writeBenchRecord(t, h, lr, sp, start)
 	}
 
 	// Ledger proof: drain the server (flushes the writer), then replay
@@ -214,43 +202,4 @@ func listJobs(t *testing.T, h *Harness) []serve.JobStatus {
 		t.Fatalf("decode job list: %v", err)
 	}
 	return out.Jobs
-}
-
-// writeBenchRecord appends the load-test summary to the BENCH
-// trajectory named by -serve-bench-out.
-func writeBenchRecord(t *testing.T, h *Harness, lr LoadResult, sp spec.Spec, start time.Time) {
-	t.Helper()
-	rec := bench.NewRecord("depthd-load", start)
-	rec.Points = lr.Studies * sp.Points()
-	rec.Requests = lr.Requests
-	rec.CacheHits = h.Counter("resultcache.hits")
-	rec.CacheMisses = h.Counter("resultcache.misses")
-	if total := rec.CacheHits + rec.CacheMisses; total > 0 {
-		rec.CacheHitRate = float64(rec.CacheHits) / float64(total)
-	}
-	rec.Phases = map[string]bench.Phase{
-		"round_trip": lr.RoundTrip,
-		"request":    bench.PhaseFrom(h.Registry().Histogram("span.request_us")),
-		"job":        bench.PhaseFrom(h.Registry().Histogram("span.job_us")),
-	}
-	// Observability figures: ledger throughput/loss at the end of the
-	// wave and the worst fast-window burn rate, so a load test that
-	// sheds its ledger or finishes while burning shows in the
-	// trajectory.
-	if lw := h.Server.Ledger(); lw != nil {
-		rec.SetLedger(lw.Written(), lw.Dropped())
-	}
-	if ev := h.Server.SLO(); ev != nil {
-		ev.Evaluate()
-		rec.MaxBurnRate = ev.MaxBurn()
-	}
-	rec.Finish(start)
-	// Finish derives throughput from submit-to-assert wall time, which
-	// slightly understates the server's rate; it is stable enough for
-	// trajectory comparison, which is all benchdiff needs.
-	if err := bench.Append(*serveBenchOut, rec); err != nil {
-		t.Fatalf("append bench record: %v", err)
-	}
-	t.Logf("bench: appended depthd-load record to %s (%.1f req/s, hit rate %.2f)",
-		*serveBenchOut, rec.RequestsPerSec, rec.CacheHitRate)
 }

@@ -58,19 +58,28 @@ func TestWatchdogStallDetection(t *testing.T) {
 	waitState(t, hs.URL, st.ID, StateRunning)
 
 	// The watchdog flags the parked job within a few scan intervals.
+	// The status flag turns visible first; the counter and the dump
+	// follow in the same scan, so all three are polled for. The dump is
+	// renamed into place whole, so once it exists it is complete.
+	dump := filepath.Join(opts.DumpDir, "goroutines-"+st.ID+".txt")
+	stalled := s.reg.Counter("serve.jobs_stalled_total")
 	deadline := time.Now().Add(5 * time.Second)
-	for !getStatus(t, hs.URL, st.ID).Stalled {
+	for {
+		_, statErr := os.Stat(dump)
+		if getStatus(t, hs.URL, st.ID).Stalled && stalled.Value() > 0 && statErr == nil {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatal("job never flagged stalled")
+			t.Fatalf("stall not fully recorded: stalled=%v counter=%d dump: %v",
+				getStatus(t, hs.URL, st.ID).Stalled, stalled.Value(), statErr)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if got := s.reg.Counter("serve.jobs_stalled_total").Value(); got != 1 {
+	if got := stalled.Value(); got != 1 {
 		t.Errorf("serve.jobs_stalled_total = %d, want 1", got)
 	}
 
 	// First stall captured a goroutine dump naming the job.
-	dump := filepath.Join(opts.DumpDir, "goroutines-"+st.ID+".txt")
 	data, err := os.ReadFile(dump)
 	if err != nil {
 		t.Fatalf("goroutine dump not written: %v", err)

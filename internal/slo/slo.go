@@ -354,24 +354,6 @@ func (e *Evaluator) Burning() bool {
 	return false
 }
 
-// MaxBurn returns the highest fast-window burn rate across the last
-// evaluation's objectives — the single number a load test records.
-// Safe on nil.
-func (e *Evaluator) MaxBurn() float64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var max float64
-	for _, r := range e.last {
-		if r.Fast.Burn > max {
-			max = r.Fast.Burn
-		}
-	}
-	return max
-}
-
 // response is the /v1/slo JSON body.
 type response struct {
 	At      string `json:"at"`

@@ -139,9 +139,9 @@ var labelPairRe = regexp.MustCompile(`(` + LabelNamePattern + `)="`)
 // SpanNames is the canonical vocabulary of cost-attribution span names
 // (internal/telemetry/span). Spans outside this table are a lint error:
 // the span histograms ("span.<name>_us"), the trace viewers and the
-// benchdiff phase comparison all key on these names, so an ad-hoc name
-// would fork the timing taxonomy. Extend the table when a new phase is
-// instrumented.
+// benchmark's per-layer attribution all key on these names, so an
+// ad-hoc name would fork the timing taxonomy. Extend the table when a
+// new phase is instrumented.
 var SpanNames = map[string]bool{
 	"study":    true, // one RunCatalog invocation
 	"workload": true, // one workload's depth sweep
