@@ -21,13 +21,12 @@
 //	curl -X DELETE localhost:8080/v1/studies/j000001-… # cancel
 //	curl localhost:8080/metrics                        # Prometheus exposition
 //
-// With -tsdb the registry is scraped into an in-process history store
-// and three more surfaces mount: range queries over any metric
-// (GET /v1/query?metric=…&fn=rate|avg|quantile&since=5m), the SLO
-// burn-rate verdict (GET /v1/slo) and the operations dashboard
-// (GET /dash). With -ledger-dir every terminal request and job appends
-// one canonical JSONL line there; -stall-timeout arms the job watchdog
-// (first stall dumps goroutines into -dump-dir).
+// /metrics is the one metrics surface: history, rates, quantiles and
+// alerting belong to whatever scrapes it. With -ledger-dir every
+// terminal request and job appends one canonical JSONL line there;
+// -stall-timeout arms the job watchdog (stalls count in
+// serve_jobs_stalled_total, and the first one dumps goroutines into
+// -dump-dir).
 //
 // SIGINT/SIGTERM drains gracefully: intake closes (submissions 503,
 // readyz 503), queued and running jobs finish within -drain-timeout,
@@ -79,9 +78,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxInstructions = fs.Int("max-instructions", 0, "per-study instruction cap (0: default limit)")
 		drainTimeout    = fs.Duration("drain-timeout", 30*time.Second, "graceful-drain budget on shutdown")
 
-		tsdbOn       = fs.Bool("tsdb", false, "scrape metrics into the in-process history store; mounts /v1/query, /v1/slo and /dash")
-		tsdbInterval = fs.Duration("tsdb-interval", 0, "history scrape period (0: store default)")
-		tsdbRetain   = fs.Int("tsdb-retain", 0, "per-series ring capacity in samples (0: store default)")
 		ledgerDir    = fs.String("ledger-dir", "", "append one canonical JSONL event per terminal request/job here (empty: off)")
 		stallTimeout = fs.Duration("stall-timeout", 0, "flag a running job stalled after this long without progress (0: watchdog off)")
 		dumpDir      = fs.String("dump-dir", "", "directory for the first-stall goroutine dump (empty: no dump)")
@@ -141,12 +137,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		Registry:    reg,
 		Log:         log,
 
-		History:         *tsdbOn,
-		HistoryInterval: *tsdbInterval,
-		HistoryRetain:   *tsdbRetain,
-		LedgerDir:       *ledgerDir,
-		StallTimeout:    *stallTimeout,
-		DumpDir:         *dumpDir,
+		LedgerDir:    *ledgerDir,
+		StallTimeout: *stallTimeout,
+		DumpDir:      *dumpDir,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "depthd: %v\n", err)

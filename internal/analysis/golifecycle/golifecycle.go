@@ -40,7 +40,6 @@ import (
 var ServerPackages = []string{
 	"repro/internal/serve",
 	"repro/internal/telemetry",
-	"repro/internal/slo",
 	"repro/internal/ledger",
 	"repro/internal/profile",
 	"repro/internal/core",

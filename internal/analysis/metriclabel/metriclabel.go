@@ -7,8 +7,7 @@
 //   - Registry.Counter/Gauge/Histogram(name): the registry-name rule
 //     (dotted names or LabelName-rendered series), plus the cycle-budget
 //     vocabulary for "pipeline.budget."-prefixed names and the closed
-//     serve./tsdb./slo./ledger. vocabularies for the server and its
-//     observability subsystems;
+//     serve./ledger. vocabularies for the server and its ledger;
 //   - telemetry.LabelName(family, kv...): the family against the strict
 //     exposition alphabet, constant label keys against the label rule
 //     (including reserved names like le), and that kv pairs up — a
@@ -57,17 +56,12 @@ var spanMethods = map[string]bool{"Start": true, "Child": true}
 // budgetPrefix marks registry names carrying a cycle-budget bucket.
 const budgetPrefix = "pipeline.budget."
 
-// servePrefix marks registry names owned by the depthd study server;
-// they must come from the promexp.ServeMetrics vocabulary.
-const servePrefix = "serve."
-
-// vocabPrefixes maps the remaining owned registry-name prefixes to the
-// promexp predicate validating the full name — the history store, the
-// SLO engine and the request/job ledger each keep their meta-metric
-// vocabulary closed the same way serve.* does.
+// vocabPrefixes maps the owned registry-name prefixes to the promexp
+// predicate validating the full name: the depthd study server's
+// serve.* names and the request/job ledger's ledger.* names each come
+// from a closed vocabulary.
 var vocabPrefixes = map[string]func(string) error{
-	"tsdb.":   promexp.ValidTSDBMetric,
-	"slo.":    promexp.ValidSLOMetric,
+	"serve.":  promexp.ValidServeMetric,
 	"ledger.": promexp.ValidLedgerMetric,
 }
 
@@ -142,10 +136,6 @@ func checkRegistryName(pass *analysis.Pass, arg ast.Expr) {
 			if err := promexp.ValidBudgetBucket(rest); err != nil {
 				pass.Reportf(arg.Pos(), "metric registration: %v", err)
 			}
-		} else if strings.HasPrefix(name, servePrefix) {
-			if err := promexp.ValidServeMetric(name); err != nil {
-				pass.Reportf(arg.Pos(), "metric registration: %v", err)
-			}
 		} else {
 			for prefix, valid := range vocabPrefixes {
 				if strings.HasPrefix(name, prefix) {
@@ -195,18 +185,10 @@ func checkLabelName(pass *analysis.Pass, call *ast.CallExpr) {
 		if err := promexp.ValidLabelName(key); err != nil {
 			pass.Reportf(kv[i].Pos(), "LabelName key: %v", err)
 		}
-		// The bucket label is the budget vocabulary's exposition form;
-		// the objective label is the SLO vocabulary's.
+		// The bucket label is the budget vocabulary's exposition form.
 		if key == "bucket" {
 			if val, ok := constString(pass, kv[i+1]); ok {
 				if err := promexp.ValidBudgetBucket(val); err != nil {
-					pass.Reportf(kv[i+1].Pos(), "LabelName value: %v", err)
-				}
-			}
-		}
-		if key == "objective" {
-			if val, ok := constString(pass, kv[i+1]); ok {
-				if err := promexp.ValidSLOObjective(val); err != nil {
 					pass.Reportf(kv[i+1].Pos(), "LabelName value: %v", err)
 				}
 			}

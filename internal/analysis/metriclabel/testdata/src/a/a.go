@@ -81,24 +81,14 @@ func serveMetrics(reg *telemetry.Registry, tr *span.Tracer, dynamic string) {
 }
 
 func observabilityMetrics(reg *telemetry.Registry, dynamic string) {
-	// The history store, SLO engine and ledger keep their meta-metric
-	// vocabularies closed the same way serve.* does.
-	reg.Counter("tsdb.scrapes").Inc()
-	reg.Gauge("tsdb.series").Set(1)
-	reg.Counter("slo.evaluations").Inc()
+	// The ledger keeps its meta-metric vocabulary closed the same way
+	// serve.* does.
 	reg.Counter("ledger.events_written").Inc()
 	reg.Counter("ledger.events_dropped").Inc()
-	reg.Counter("tsdb." + dynamic).Inc()
+	reg.Counter("ledger." + dynamic).Inc()
 
-	reg.Counter("tsdb.scrape_count").Inc()  // want `metric registration: tsdb metric "tsdb.scrape_count" is not in the promexp.TSDBMetrics vocabulary`
-	reg.Gauge("slo.burn").Set(0)            // want `metric registration: slo metric "slo.burn" is not in the promexp.SLOMetrics vocabulary`
 	reg.Counter("ledger.events_lost").Inc() // want `metric registration: ledger metric "ledger.events_lost" is not in the promexp.LedgerMetrics vocabulary`
 
 	// The watchdog's stall counter is part of the serve vocabulary.
 	reg.Counter("serve.jobs_stalled_total").Inc()
-
-	// A constant objective label value must be a canonical objective.
-	reg.Gauge(telemetry.LabelName("slo_burn_rate", "objective", "job_error_rate", "window", "fast")).Set(0)
-	reg.Gauge(telemetry.LabelName("slo_burning", "objective", dynamic)).Set(0)
-	reg.Gauge(telemetry.LabelName("slo_burn_rate", "objective", "error_budget", "window", "fast")).Set(0) // want `LabelName value: SLO objective "error_budget" is not in the promexp.SLOObjectives vocabulary`
 }

@@ -15,9 +15,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 // TestGoldenUnitAttribution pins the per-unit energy attribution of one
-// design point (si95-gcc at depth 10) to a golden file, exercising the
-// snapshot diff: a depth-8 point runs first into the same registry, and
-// DiffSnapshots must isolate exactly the depth-10 contribution.
+// design point (si95-gcc at depth 10) to a golden file: a depth-8 point
+// runs first into the same registry, and the snapshot delta must
+// isolate exactly the depth-10 contribution.
 func TestGoldenUnitAttribution(t *testing.T) {
 	prof, ok := workload.ByName("si95-gcc")
 	if !ok {
@@ -36,7 +36,7 @@ func TestGoldenUnitAttribution(t *testing.T) {
 	if _, err := RunSweep(cfg, prof); err != nil {
 		t.Fatal(err)
 	}
-	diff := telemetry.DiffSnapshots(before, reg.Snapshot())
+	diff := changedMetrics(before, reg.Snapshot())
 
 	// Only the power attribution series are pinned: they are fully
 	// deterministic (seeded workload, fixed power model), unlike the
@@ -87,4 +87,25 @@ func TestGoldenUnitAttribution(t *testing.T) {
 		t.Errorf("attribution differs from %s (run with -update after intentional changes)\n got:\n%s\nwant:\n%s",
 			path, got, want)
 	}
+}
+
+// changedMetrics returns the counters and gauges of after that are new
+// or changed since before, counters as their delta.
+func changedMetrics(before, after []telemetry.Metric) []telemetry.Metric {
+	prev := make(map[string]telemetry.Metric, len(before))
+	for _, m := range before {
+		prev[m.Type+" "+m.Name] = m
+	}
+	var out []telemetry.Metric
+	for _, m := range after {
+		old, seen := prev[m.Type+" "+m.Name]
+		switch {
+		case m.Type == "counter" && m.Value != old.Value:
+			m.Value -= old.Value
+			out = append(out, m)
+		case m.Type == "gauge" && (!seen || m.Value != old.Value):
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -36,7 +36,6 @@ type Harness struct {
 	client *http.Client
 	cancel context.CancelFunc
 	done   chan error
-	bootAt time.Time
 }
 
 // Boot starts a study server on 127.0.0.1:0 behind a real net/http
@@ -59,7 +58,6 @@ func Boot(t *testing.T, opts serve.Options) *Harness {
 		client: &http.Client{},
 		cancel: cancel,
 		done:   make(chan error, 1),
-		bootAt: time.Now(),
 	}
 	go func() { h.done <- s.Serve(ctx, ln, 30*time.Second) }()
 	t.Cleanup(func() {

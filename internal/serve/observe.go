@@ -4,49 +4,8 @@ import (
 	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/slo"
 	"repro/internal/telemetry/span"
 )
-
-// Default SLO parameters for the built-in objectives. The latency
-// threshold is deliberately generous — depthd's API handlers answer in
-// microseconds, so only a genuinely degraded server trips it.
-const (
-	// defaultRequestP99US bounds p99 request latency (span.request_us).
-	defaultRequestP99US = 500_000 // 500ms
-	// defaultErrorBudget is the allowed job failure fraction.
-	defaultErrorBudget = 0.01
-	// defaultQueueTarget is the allowed mean queue utilization.
-	defaultQueueTarget = 0.8
-	// defaultStallBudget is the allowed stall rate: ~one per hour of
-	// serving. Any stall inside a fast window burns far past this.
-	defaultStallBudget = 1.0 / 3600
-)
-
-// defaultObjectives is the built-in SLO set for a depthd server with
-// the given queue capacity.
-func defaultObjectives(queueCap int) []slo.Objective {
-	return []slo.Objective{
-		{
-			Name: "request_latency_p99", Kind: slo.Latency,
-			Metric: "span.request_us", Quantile: 0.99, Threshold: defaultRequestP99US,
-		},
-		{
-			Name: "job_error_rate", Kind: slo.ErrorRate,
-			Metric:      "serve.jobs_failed",
-			Denominator: "serve.jobs_submitted",
-			Target:      defaultErrorBudget,
-		},
-		{
-			Name: "queue_saturation", Kind: slo.Saturation,
-			Metric: "serve.queue_depth", Capacity: float64(queueCap), Target: defaultQueueTarget,
-		},
-		{
-			Name: "job_stalls", Kind: slo.EventRate,
-			Metric: "serve.jobs_stalled_total", Target: defaultStallBudget,
-		},
-	}
-}
 
 // ledgerStamp renders a ledger event timestamp.
 func ledgerStamp(t time.Time) string { return t.UTC().Format(time.RFC3339Nano) }

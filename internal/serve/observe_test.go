@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -10,17 +9,15 @@ import (
 	"time"
 
 	"repro/internal/ledger"
-	"repro/internal/slo"
+	"repro/internal/telemetry"
+	"repro/internal/telemetry/span"
 )
 
-// obsOptions returns Options with the full observability stack on and
+// obsOptions returns Options with the watchdog and the ledger on and
 // every timescale shrunk to test speed.
 func obsOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
-		History:          true,
-		HistoryInterval:  5 * time.Millisecond,
-		SLOWindows:       slo.Windows{Fast: 250 * time.Millisecond, Slow: 2 * time.Second},
 		StallTimeout:     30 * time.Millisecond,
 		WatchdogInterval: 10 * time.Millisecond,
 		DumpDir:          t.TempDir(),
@@ -28,28 +25,11 @@ func obsOptions(t *testing.T) Options {
 	}
 }
 
-// sloVerdict fetches and decodes /v1/slo.
-func sloVerdict(t *testing.T, base string) map[string]any {
-	t.Helper()
-	resp, err := http.Get(base + "/v1/slo")
-	if err != nil {
-		t.Fatalf("GET /v1/slo: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/slo: %d", resp.StatusCode)
-	}
-	var v map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("decode /v1/slo: %v", err)
-	}
-	return v
-}
-
 // TestWatchdogStallDetection is the injected-stall proof: a parked
 // worker makes no progress, the watchdog flags the job sticky, counts
-// it, captures one goroutine dump, the stall flips /v1/slo to burning,
-// and the job still produces exactly one ledger event at the end.
+// it, captures one goroutine dump, the stall shows in the /metrics
+// exposition, and the job still produces exactly one ledger event at
+// the end.
 func TestWatchdogStallDetection(t *testing.T) {
 	opts := obsOptions(t)
 	s, hs, release := blockedServer(t, opts)
@@ -88,28 +68,17 @@ func TestWatchdogStallDetection(t *testing.T) {
 		t.Error("goroutine dump has no stacks")
 	}
 
-	// The stall burns the job_stalls objective on both windows once the
-	// scraper has seen it across the fast window.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		v := sloVerdict(t, hs.URL)
-		burning := false
-		for _, o := range v["objectives"].([]any) {
-			obj := o.(map[string]any)
-			if obj["objective"] == "job_stalls" && obj["burning"] == true {
-				burning = true
-			}
-		}
-		if burning {
-			if v["burning"] != true {
-				t.Error("top-level burning false while job_stalls burns")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("/v1/slo never flipped job_stalls to burning")
-		}
-		time.Sleep(10 * time.Millisecond)
+	// A scraper sees the stall: the counter is in the exposition.
+	resp, err := http.Get(hs.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, code := readAll(t, resp)
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	if !strings.Contains(string(body), "\nserve_jobs_stalled_total 1\n") {
+		t.Errorf("/metrics lacks serve_jobs_stalled_total 1:\n%s", body)
 	}
 
 	// Release the worker; the stalled flag is sticky through completion.
@@ -234,11 +203,11 @@ func TestLedgerCancelQueuedEmitsOneEvent(t *testing.T) {
 }
 
 // TestObservabilityDisabledByDefault pins the nil path: zero Options
-// build no history store, no SLO engine, no watchdog and no ledger,
-// and the new endpoints 404.
+// build no watchdog and no ledger, and the removed history, SLO and
+// ops-dashboard routes 404.
 func TestObservabilityDisabledByDefault(t *testing.T) {
 	s, hs := newTestServer(t, Options{Workers: 1})
-	if s.History() != nil || s.SLO() != nil || s.Ledger() != nil || s.dog != nil {
+	if s.Ledger() != nil || s.dog != nil {
 		t.Fatal("observability subsystems built despite zero Options")
 	}
 	for _, path := range []string{"/v1/query?metric=x", "/v1/slo", "/dash"} {
@@ -248,7 +217,7 @@ func TestObservabilityDisabledByDefault(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("GET %s = %d, want 404 when disabled", path, resp.StatusCode)
+			t.Errorf("GET %s = %d, want 404", path, resp.StatusCode)
 		}
 	}
 	// Jobs still run exactly as before.
@@ -256,52 +225,39 @@ func TestObservabilityDisabledByDefault(t *testing.T) {
 	waitState(t, hs.URL, st.ID, StateDone)
 }
 
-// TestHistoryQueryServesScrapedSeries exercises the mounted /v1/query
-// against live server metrics and checks the ops dashboard is served.
-func TestHistoryQueryServesScrapedSeries(t *testing.T) {
-	opts := Options{
-		Workers:         1,
-		History:         true,
-		HistoryInterval: 5 * time.Millisecond,
-		SLOWindows:      slo.Windows{Fast: 250 * time.Millisecond, Slow: 2 * time.Second},
+// TestLedgerPhasesSurviveSpanBufferWrap runs jobs through a span
+// buffer far smaller than their span trees: the buffer evicts the
+// oldest records, so each job's own just-finished subtree is still
+// there to roll up, and every job event carries its phases.
+func TestLedgerPhasesSurviveSpanBufferWrap(t *testing.T) {
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	spans := span.NewTracer(reg, 40)
+	s, hs := newTestServer(t, Options{Workers: 1, Registry: reg, Spans: spans, LedgerDir: dir})
+	for i := 0; i < 4; i++ {
+		st, _ := submit(t, hs.URL, smallSpec())
+		waitState(t, hs.URL, st.ID, StateDone)
 	}
-	_, hs := newTestServer(t, opts)
-	st, _ := submit(t, hs.URL, smallSpec())
-	waitState(t, hs.URL, st.ID, StateDone)
-
-	// The scraper needs a beat to capture the post-completion counters.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(hs.URL + "/v1/query?metric=serve.jobs_completed&since=10s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var qr struct {
-			Series []struct {
-				Points []struct{ Value float64 }
-			}
-		}
-		err = json.NewDecoder(resp.Body).Decode(&qr)
-		resp.Body.Close()
-		if err == nil && len(qr.Series) == 1 && len(qr.Series[0].Points) > 0 &&
-			qr.Series[0].Points[len(qr.Series[0].Points)-1].Value >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("/v1/query never served the scraped serve.jobs_completed series")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if spans.Dropped() == 0 {
+		t.Fatal("span buffer never wrapped; shrink its capacity")
 	}
 
-	resp, err := http.Get(hs.URL + "/dash")
+	s.Close()
+	events, err := ledger.Replay(dir)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("replay: %v", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /dash = %d", resp.StatusCode)
+	var jobs int
+	for _, ev := range events {
+		if ev.Kind != "job" {
+			continue
+		}
+		jobs++
+		if len(ev.Phases) == 0 {
+			t.Errorf("job %s event has no phases", ev.JobID)
+		}
 	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Errorf("dash content type %q", ct)
+	if jobs != 4 {
+		t.Fatalf("got %d job events, want 4", jobs)
 	}
 }

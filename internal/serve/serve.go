@@ -44,11 +44,9 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/resultcache"
 	"repro/internal/serve/spec"
-	"repro/internal/slo"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/promexp"
 	"repro/internal/telemetry/span"
-	"repro/internal/telemetry/tsdb"
 	"repro/internal/workload"
 )
 
@@ -91,24 +89,6 @@ type Options struct {
 	// Log receives structured diagnostics; slog.Default() if nil.
 	Log *slog.Logger
 
-	// History enables the in-process metrics history store: the
-	// registry is scraped every HistoryInterval into a ring-buffer
-	// tsdb (internal/telemetry/tsdb), /v1/query and /v1/slo are
-	// mounted, and the SLO burn-rate engine evaluates on every scrape.
-	// Off by default — the disabled path adds nothing to the server.
-	History bool
-	// HistoryInterval is the scrape period; tsdb.DefaultInterval if 0.
-	HistoryInterval time.Duration
-	// HistoryRetain is the per-series ring capacity; tsdb.DefaultRetain
-	// if 0.
-	HistoryRetain int
-	// SLOWindows overrides the burn-rate alerting windows (production
-	// defaults 5m/1h; tests scale them down).
-	SLOWindows slo.Windows
-	// SLOObjectives overrides the built-in objective set
-	// (defaultObjectives) — every entry must pass slo validation.
-	SLOObjectives []slo.Objective
-
 	// StallTimeout arms the job watchdog: a running job with no
 	// completed design point for longer than this is flagged stalled
 	// (sticky), counted in serve.jobs_stalled_total, and the first
@@ -143,10 +123,8 @@ type Server struct {
 	handler http.Handler
 
 	// Observability subsystems; each is nil when disabled.
-	history *tsdb.Store
-	slo     *slo.Evaluator
-	ledger  *ledger.Writer
-	dog     *watchdog
+	ledger *ledger.Writer
+	dog    *watchdog
 
 	baseCtx context.Context
 	stop    context.CancelFunc
@@ -219,31 +197,6 @@ func New(opts Options) (*Server, error) {
 		}
 		s.ledger = lw
 	}
-	if opts.History {
-		s.history = tsdb.New(tsdb.Options{
-			Registry: opts.Registry,
-			Interval: opts.HistoryInterval,
-			Retain:   opts.HistoryRetain,
-		})
-		objectives := opts.SLOObjectives
-		if objectives == nil {
-			objectives = defaultObjectives(opts.QueueCap)
-		}
-		ev, err := slo.New(slo.Options{
-			Store:      s.history,
-			Registry:   opts.Registry,
-			Objectives: objectives,
-			Windows:    opts.SLOWindows,
-		})
-		if err != nil {
-			s.ledger.Close()
-			stop()
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.slo = ev
-		ev.Bind()
-		s.history.Start()
-	}
 	if opts.StallTimeout > 0 {
 		s.dog = newWatchdog(s, opts.StallTimeout, opts.WatchdogInterval, opts.DumpDir)
 	}
@@ -261,14 +214,6 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // Registry exposes the server's telemetry registry (the load harness
 // asserts cache-hit counters through it).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// History exposes the metrics history store (nil when Options.History
-// is off).
-func (s *Server) History() *tsdb.Store { return s.history }
-
-// SLO exposes the burn-rate evaluator (nil when Options.History is
-// off).
-func (s *Server) SLO() *slo.Evaluator { return s.slo }
 
 // Ledger exposes the request/job ledger writer (nil without a
 // LedgerDir).
@@ -296,11 +241,6 @@ func (s *Server) routes() http.Handler {
 		fmt.Fprintln(w, "ready")
 	})
 	mux.Handle("GET /metrics", promexp.Handler(s.reg))
-	if s.history != nil {
-		mux.Handle("GET /v1/query", s.history.Handler())
-		mux.Handle("GET /v1/slo", s.slo.Handler())
-		mux.Handle("GET /dash", opsDashHandler())
-	}
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
@@ -680,9 +620,8 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // Close force-stops the server: intake closed, every job context
 // canceled, workers joined, then the observability subsystems are
-// stopped — the watchdog first, the history store next, the ledger
-// last, so every terminal job event reaches disk before the file
-// closes. Idempotent.
+// stopped — the watchdog first, the ledger last, so every terminal job
+// event reaches disk before the file closes. Idempotent.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if !s.draining {
@@ -693,9 +632,6 @@ func (s *Server) Close() {
 	s.stop()
 	s.wg.Wait()
 	s.dog.close()
-	if s.history != nil {
-		s.history.Close()
-	}
 	_ = s.ledger.Close()
 }
 

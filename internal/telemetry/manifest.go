@@ -68,11 +68,6 @@ func (m *Manifest) tagged() taggedManifest {
 	return taggedManifest{Type: "manifest", Manifest: *m}
 }
 
-// Tagged returns the manifest in its JSONL form — the fields plus a
-// "manifest" type tag — for exporters outside this package (the span
-// tracer) that lead their streams with a manifest line.
-func (m *Manifest) Tagged() any { return m.tagged() }
-
 // Fingerprint hashes the given parts into a stable 64-bit FNV-1a hex
 // string. Producers feed it a canonical rendering of their
 // configuration; equal configurations hash equal across runs and

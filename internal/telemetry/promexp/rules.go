@@ -239,74 +239,11 @@ func ValidServeMetric(name string) error {
 	return nil
 }
 
-// TSDBMetrics is the canonical vocabulary of the metrics history
-// store's own tsdb.* registry names (internal/telemetry/tsdb) — the
-// store's meta-observability, scraped back into the store it
-// describes.
-var TSDBMetrics = map[string]bool{
-	"tsdb.scrapes":   true, // counter: registry scrape passes
-	"tsdb.samples":   true, // counter: ring samples appended
-	"tsdb.evictions": true, // counter: ring samples overwritten at capacity
-	"tsdb.series":    true, // gauge: live series tracked
-	"tsdb.queries":   true, // counter: /v1/query requests answered
-}
-
-// SLOMetrics is the canonical vocabulary of the burn-rate engine's
-// slo.* registry names (internal/slo). The labeled burn-rate gauges
-// use the SLOBurnRateFamily/SLOBurningFamily families with an
-// "objective" label drawn from SLOObjectives.
-var SLOMetrics = map[string]bool{
-	"slo.evaluations": true, // counter: objective evaluation passes
-}
-
-// Burn-rate gauge families: slo_burn_rate{objective,window} reports
-// each objective's budget burn rate per alerting window, and
-// slo_burning{objective} is 1 while the multi-window alert fires —
-// the alerts themselves are scrapeable series.
-const (
-	SLOBurnRateFamily = "slo_burn_rate"
-	SLOBurningFamily  = "slo_burning"
-)
-
-// SLOObjectives is the canonical vocabulary of objective names: the
-// "objective" label of the burn-rate gauges, the /v1/slo JSON keys and
-// the alerting runbooks all key on them.
-var SLOObjectives = map[string]bool{
-	"request_latency_p99": true, // p99 of span.request_us under target
-	"job_error_rate":      true, // serve.jobs_failed over serve.jobs_submitted
-	"queue_saturation":    true, // mean serve.queue_depth over capacity
-	"job_stalls":          true, // serve.jobs_stalled_total event rate
-}
-
 // LedgerMetrics is the canonical vocabulary of the request/job ledger's
 // ledger.* registry names (internal/ledger).
 var LedgerMetrics = map[string]bool{
 	"ledger.events_written": true, // counter: events durably appended
 	"ledger.events_dropped": true, // counter: events shed by the bounded writer
-}
-
-// ValidTSDBMetric checks a tsdb.* registry name against the canonical
-// vocabulary.
-func ValidTSDBMetric(name string) error {
-	if err := ValidRegistryName(name); err != nil {
-		return err
-	}
-	if !TSDBMetrics[name] {
-		return fmt.Errorf("tsdb metric %q is not in the promexp.TSDBMetrics vocabulary", name)
-	}
-	return nil
-}
-
-// ValidSLOMetric checks an slo.* registry name against the canonical
-// vocabulary.
-func ValidSLOMetric(name string) error {
-	if err := ValidRegistryName(name); err != nil {
-		return err
-	}
-	if !SLOMetrics[name] {
-		return fmt.Errorf("slo metric %q is not in the promexp.SLOMetrics vocabulary", name)
-	}
-	return nil
 }
 
 // ValidLedgerMetric checks a ledger.* registry name against the
@@ -317,22 +254,6 @@ func ValidLedgerMetric(name string) error {
 	}
 	if !LedgerMetrics[name] {
 		return fmt.Errorf("ledger metric %q is not in the promexp.LedgerMetrics vocabulary", name)
-	}
-	return nil
-}
-
-// ValidSLOObjective checks an objective name (the "objective" label
-// value of the burn-rate gauges) against the alphabet and the
-// canonical vocabulary.
-func ValidSLOObjective(name string) error {
-	if name == "" {
-		return fmt.Errorf("empty SLO objective name")
-	}
-	if !spanNameRe.MatchString(name) {
-		return fmt.Errorf("SLO objective %q does not match %s", name, spanNameRe)
-	}
-	if !SLOObjectives[name] {
-		return fmt.Errorf("SLO objective %q is not in the promexp.SLOObjectives vocabulary", name)
 	}
 	return nil
 }

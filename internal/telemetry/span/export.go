@@ -1,7 +1,6 @@
 package span
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 
@@ -21,70 +20,39 @@ type jsonlSpan struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-func (r Record) jsonl() jsonlSpan {
-	js := jsonlSpan{
-		Type:    "span",
-		ID:      r.ID,
-		Parent:  r.Parent,
-		Name:    r.Name,
-		StartUS: float64(r.StartNS) / 1e3,
-		DurUS:   float64(r.DurNS) / 1e3,
-	}
-	if len(r.Attrs) > 0 {
-		js.Attrs = make(map[string]string, len(r.Attrs))
-		for _, a := range r.Attrs {
-			js.Attrs[a.Key] = a.Value
-		}
-	}
-	return js
-}
-
 // WriteJSONL writes the completed spans as JSON Lines: the manifest
-// first (when non-nil, tagged "manifest" as in the event tracer), then
-// one span per line in start order.
+// first (when non-nil), then one span per line in start order.
 func (t *Tracer) WriteJSONL(w io.Writer, m *telemetry.Manifest) error {
 	if t == nil {
 		return errors.New("span: nil tracer")
 	}
-	enc := json.NewEncoder(w)
-	if m != nil {
-		if err := enc.Encode(m.Tagged()); err != nil {
-			return err
+	records := t.Records()
+	lines := make([]jsonlSpan, len(records))
+	for i, r := range records {
+		lines[i] = jsonlSpan{
+			Type:    "span",
+			ID:      r.ID,
+			Parent:  r.Parent,
+			Name:    r.Name,
+			StartUS: float64(r.StartNS) / 1e3,
+			DurUS:   float64(r.DurNS) / 1e3,
+		}
+		if len(r.Attrs) > 0 {
+			lines[i].Attrs = make(map[string]string, len(r.Attrs))
+			for _, a := range r.Attrs {
+				lines[i].Attrs[a.Key] = a.Value
+			}
 		}
 	}
-	for _, r := range t.Records() {
-		if err := enc.Encode(r.jsonl()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return telemetry.WriteJSONL(w, m, lines)
 }
-
-// chromeEvent mirrors the event tracer's trace_event rendering: ph="X"
-// complete events, timestamps and durations in microseconds.
-type chromeEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Phase string         `json:"ph"`
-	TS    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	PID   int            `json:"pid"`
-	TID   int            `json:"tid"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents []chromeEvent  `json:"traceEvents"`
-	Metadata    map[string]any `json:"metadata,omitempty"`
-}
-
-const chromePID = 1
 
 // WriteChromeTrace writes the completed spans in Chrome trace_event
-// format, loadable by chrome://tracing and https://ui.perfetto.dev.
-// Each root span's subtree renders on its own track (tid = root span
-// ID), so concurrent workload sweeps appear as parallel lanes. The
-// manifest, when non-nil, is embedded as trace metadata.
+// format as ph="X" complete events, timestamps and durations in
+// microseconds. Each root span's subtree renders on its own track
+// (tid = root span ID), so concurrent workload sweeps appear as
+// parallel lanes. The manifest, when non-nil, is embedded as trace
+// metadata.
 func (t *Tracer) WriteChromeTrace(w io.Writer, m *telemetry.Manifest) error {
 	if t == nil {
 		return errors.New("span: nil tracer")
@@ -108,47 +76,32 @@ func (t *Tracer) WriteChromeTrace(w io.Writer, m *telemetry.Manifest) error {
 		}
 	}
 
-	out := make([]chromeEvent, 0, len(records)+8)
-	out = append(out, chromeEvent{Name: "process_name", Phase: "M", PID: chromePID,
-		Args: map[string]any{"name": "sweep"}})
+	out := make([]telemetry.TraceEvent, 0, len(records)+8)
+	out = append(out, telemetry.NameEvent("process_name", 0, "sweep"))
 	named := make(map[uint64]bool)
 	for _, r := range records {
 		root := rootOf(r.ID)
 		tid := int(root)
 		if !named[root] {
 			named[root] = true
-			out = append(out, chromeEvent{Name: "thread_name", Phase: "M", PID: chromePID,
-				TID: tid, Args: map[string]any{"name": laneName(records, root)}})
+			out = append(out, telemetry.NameEvent("thread_name", tid, laneName(records, root)))
 		}
 		args := make(map[string]any, len(r.Attrs))
 		for _, a := range r.Attrs {
 			args[a.Key] = a.Value
 		}
-		out = append(out, chromeEvent{
+		out = append(out, telemetry.TraceEvent{
 			Name:  r.Name,
 			Cat:   "span",
 			Phase: "X",
 			TS:    float64(r.StartNS) / 1e3,
 			Dur:   float64(r.DurNS) / 1e3,
-			PID:   chromePID,
+			PID:   telemetry.TracePID,
 			TID:   tid,
 			Args:  args,
 		})
 	}
-
-	trace := chromeTrace{TraceEvents: out}
-	if m != nil {
-		meta, err := json.Marshal(m)
-		if err != nil {
-			return err
-		}
-		var mm map[string]any
-		if err := json.Unmarshal(meta, &mm); err != nil {
-			return err
-		}
-		trace.Metadata = mm
-	}
-	return json.NewEncoder(w).Encode(trace)
+	return telemetry.WriteChromeTrace(w, out, m)
 }
 
 // laneName labels a track after its root span, preferring the workload

@@ -112,6 +112,11 @@ func TestCapacityDropsExcessSpans(t *testing.T) {
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped %d spans, want 3", tr.Dropped())
 	}
+	// The ring keeps the most recent spans: the oldest are evicted.
+	recs := tr.Records()
+	if recs[0].ID != 4 || recs[1].ID != 5 {
+		t.Fatalf("buffered IDs %d, %d, want the last two (4, 5)", recs[0].ID, recs[1].ID)
+	}
 }
 
 func TestWriteJSONL(t *testing.T) {
@@ -201,38 +206,46 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestConcurrentSpanEmission(t *testing.T) {
 	// Hammer one tracer from many goroutines — the race detector shard
-	// of CI turns this into a data-race proof.
-	reg := telemetry.NewRegistry()
-	tr := NewTracer(reg, 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			root := tr.Start("workload", Int("goroutine", g))
-			for i := 0; i < 50; i++ {
-				pt := root.Child("point", Int("depth", i))
-				pt.Child("simulate").End()
-				pt.End()
-			}
-			root.End()
-		}(g)
-	}
-	wg.Wait()
-	want := 8 * (1 + 50*2)
-	if tr.Len() != want {
-		t.Fatalf("recorded %d spans, want %d", tr.Len(), want)
-	}
-	// IDs are unique.
-	seen := map[uint64]bool{}
-	for _, r := range tr.Records() {
-		if seen[r.ID] {
-			t.Fatalf("duplicate span ID %d", r.ID)
+	// of CI turns this into a data-race proof, for the filling buffer
+	// and (capacity 100) for the evicting ring.
+	const want = 8 * (1 + 50*2)
+	for _, capacity := range []int{0, 100} {
+		reg := telemetry.NewRegistry()
+		tr := NewTracer(reg, capacity)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				root := tr.Start("workload", Int("goroutine", g))
+				for i := 0; i < 50; i++ {
+					pt := root.Child("point", Int("depth", i))
+					pt.Child("simulate").End()
+					pt.End()
+				}
+				root.End()
+			}(g)
 		}
-		seen[r.ID] = true
-	}
-	if n := reg.Histogram("span.point_us").Count(); n != 8*50 {
-		t.Fatalf("span.point_us count = %d, want %d", n, 8*50)
+		wg.Wait()
+		kept := want
+		if capacity > 0 {
+			kept = capacity
+		}
+		if tr.Len() != kept || tr.Dropped() != uint64(want-kept) {
+			t.Fatalf("capacity %d: buffered %d, dropped %d; want %d, %d",
+				capacity, tr.Len(), tr.Dropped(), kept, want-kept)
+		}
+		// IDs are unique.
+		seen := map[uint64]bool{}
+		for _, r := range tr.Records() {
+			if seen[r.ID] {
+				t.Fatalf("duplicate span ID %d", r.ID)
+			}
+			seen[r.ID] = true
+		}
+		if n := reg.Histogram("span.point_us").Count(); n != 8*50 {
+			t.Fatalf("span.point_us count = %d, want %d", n, 8*50)
+		}
 	}
 }
 

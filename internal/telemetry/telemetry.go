@@ -14,7 +14,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -318,16 +317,5 @@ func (r *Registry) WriteJSONL(w io.Writer, m *Manifest) error {
 	if r == nil {
 		return errors.New("telemetry: nil registry")
 	}
-	enc := json.NewEncoder(w)
-	if m != nil {
-		if err := enc.Encode(m.tagged()); err != nil {
-			return err
-		}
-	}
-	for _, metric := range r.Snapshot() {
-		if err := enc.Encode(metric); err != nil {
-			return err
-		}
-	}
-	return nil
+	return WriteJSONL(w, m, r.Snapshot())
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -195,13 +194,9 @@ func (t *Tracer) WriteJSONL(w io.Writer, m *Manifest) error {
 	if t == nil {
 		return errors.New("telemetry: nil tracer")
 	}
-	enc := json.NewEncoder(w)
-	if m != nil {
-		if err := enc.Encode(m.tagged()); err != nil {
-			return err
-		}
-	}
-	for _, ev := range t.Events() {
+	events := t.Events()
+	lines := make([]jsonlEvent, len(events))
+	for i, ev := range events {
 		je := jsonlEvent{Type: ev.Kind.String(), Cycle: ev.Cycle}
 		switch ev.Kind {
 		case KindFetch, KindIssue, KindRetire:
@@ -214,9 +209,7 @@ func (t *Tracer) WriteJSONL(w io.Writer, m *Manifest) error {
 		case KindGate:
 			je.Units = t.maskNames(ev.Arg)
 		}
-		if err := enc.Encode(je); err != nil {
-			return err
-		}
+		lines[i] = je
 	}
-	return nil
+	return WriteJSONL(w, m, lines)
 }
