@@ -344,9 +344,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	man.SetParam("depth_max", strconv.Itoa(*maxDepth))
 	man.SetParam("machine", *mach)
 	if p, ok := s.PointAt(*traceDepth); ok {
-		man.ConfigHash = p.Result.Config.Fingerprint()
+		man.ConfigHash = p.Result.Manifest.ConfigHash
 	} else if len(s.Points) > 0 {
-		man.ConfigHash = s.Points[0].Result.Config.Fingerprint()
+		man.ConfigHash = s.Points[0].Result.Manifest.ConfigHash
 	}
 	man.Finish(start)
 

@@ -1,10 +1,6 @@
 package branch
 
-import (
-	"fmt"
-
-	"repro/internal/telemetry"
-)
+import "fmt"
 
 // BTB is a set-associative branch target buffer with true-LRU
 // replacement. The front end needs the target of a predicted-taken
@@ -125,12 +121,14 @@ func (b *BTB) Update(pc, target uint64) {
 	b.age[lru] = b.clock
 }
 
-// PublishMetrics registers the BTB's lookup/hit counters into the
-// telemetry registry under the btb.* namespace.
-func (b *BTB) PublishMetrics(reg *telemetry.Registry) {
-	reg.Counter("btb.lookups").Add(b.lookups)
-	reg.Counter("btb.hits").Add(b.hits)
+// BTBStats counts BTB traffic.
+type BTBStats struct {
+	Lookups uint64
+	Hits    uint64
 }
+
+// Stats returns a copy of the lookup/hit counters.
+func (b *BTB) Stats() BTBStats { return BTBStats{Lookups: b.lookups, Hits: b.hits} }
 
 // HitRate returns hits per lookup (0 for an idle BTB).
 func (b *BTB) HitRate() float64 {

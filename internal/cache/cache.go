@@ -12,8 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-
-	"repro/internal/telemetry"
 )
 
 // Config sizes one cache.
@@ -355,19 +353,3 @@ func (h *Hierarchy) Clone() *Hierarchy {
 
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// PublishMetrics registers the hierarchy's per-level traffic counters
-// into the telemetry registry under the cache.* namespace.
-func (h *Hierarchy) PublishMetrics(reg *telemetry.Registry) {
-	for _, lvl := range []struct {
-		name  string
-		stats Stats
-	}{
-		{"l1", h.l1.Stats()},
-		{"l2", h.l2.Stats()},
-	} {
-		reg.Counter("cache." + lvl.name + ".accesses").Add(lvl.stats.Accesses)
-		reg.Counter("cache." + lvl.name + ".misses").Add(lvl.stats.Misses)
-		reg.Counter("cache." + lvl.name + ".evictions").Add(lvl.stats.Evictions)
-	}
-}

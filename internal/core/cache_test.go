@@ -261,3 +261,62 @@ func TestRunCatalogSchedulesAgree(t *testing.T) {
 		t.Fatalf("hits = %d, want %d", st.Hits, 2*cells)
 	}
 }
+
+// TestBareDefaultKeyMatchesFullConstruction pins the key stability of
+// bare default-machine points: at every simulated depth, the key built
+// from bare geometry (models never constructed, ConfigHash from the
+// per-depth memo) equals the key of the fully constructed default
+// machine, and a cache written through full construction serves every
+// bare point.
+func TestBareDefaultKeyMatchesFullConstruction(t *testing.T) {
+	prof := workload.Representative(workload.SPECInt)
+	bare := StudyConfig{}.withDefaults()
+	full := StudyConfig{Machine: pipeline.DefaultConfig}.withDefaults()
+	if !bare.bareMachine || full.bareMachine {
+		t.Fatal("the default Machine must select bare geometry, an explicit one full construction")
+	}
+	for _, d := range DefaultDepths() {
+		geom, err := pipeline.DefaultGeometry(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc, err := full.Machine(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := cacheKey(bare, &geom, prof, d), cacheKey(full, &mc, prof, d); got != want {
+			t.Fatalf("depth %d: bare key %+v, full-construction key %+v", d, got, want)
+		}
+	}
+
+	cache, err := resultcache.Open(resultcache.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := StudyConfig{Instructions: 2000, Warmup: 2000, Cache: cache, Machine: pipeline.DefaultConfig}
+	written, err := RunSweep(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := uint64(len(DefaultDepths()))
+	if st := cache.Stats(); st.Stores != points || st.Hits != 0 {
+		t.Fatalf("full-construction pass: %+v, want %d stores and no hits", st, points)
+	}
+	cfg.Machine = nil
+	served, err := RunSweep(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != points || st.Misses != points {
+		t.Fatalf("bare pass: %+v, want all %d points hit", st, points)
+	}
+	if !bytes.Equal(summaryBytes(t, served), summaryBytes(t, written)) {
+		t.Fatal("bare points served from the cache differ from the full-construction run")
+	}
+	// A restored point is identified by its key's machine fingerprint.
+	for _, p := range served.Points {
+		if got, want := p.Result.Manifest.ConfigHash, defaultConfigHash(p.Depth); got != want {
+			t.Fatalf("depth %d: restored ConfigHash %q, want %q", p.Depth, got, want)
+		}
+	}
+}

@@ -136,6 +136,24 @@ var defaultModelGeom = sync.OnceValue(func() string {
 	return g
 })
 
+// defaultConfigHashes memoizes, per depth, the Fingerprint of the
+// fully built default machine (pipeline.DefaultConfig): the ConfigHash
+// of a bare default-geometry point's result-cache key, byte-identical
+// to the one the full construction yields.
+var defaultConfigHashes sync.Map // depth → string
+
+// defaultConfigHash returns the memoized default-machine fingerprint at
+// a depth whose geometry is known to be valid.
+func defaultConfigHash(depth int) string {
+	if h, ok := defaultConfigHashes.Load(depth); ok {
+		return h.(string)
+	}
+	mc := pipeline.MustDefaultConfig(depth)
+	h := mc.Fingerprint()
+	defaultConfigHashes.Store(depth, h)
+	return h
+}
+
 // warmDefault serves a bare default-geometry point straight from the
 // baseline-model donor memo: on a hit it installs warmed clones into
 // mc without ever constructing the default models. A miss returns

@@ -118,7 +118,8 @@ type StudyConfig struct {
 	// bareMachine notes that Machine defaulted to the package baseline,
 	// letting runPoint start points from bare geometry
 	// (pipeline.DefaultGeometry) and skip constructing model state a
-	// warmed donor clone would immediately replace.
+	// warmed donor clone would immediately replace or a result-cache
+	// hit would never use.
 	bareMachine bool
 	// prog is the shared completion counter, preset by RunCatalog so
 	// per-workload sweeps report catalog-wide progress.
@@ -326,15 +327,13 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 	defer psp.End()
 	// The default machine's models (notably the 1 MiB L2) are expensive
 	// to construct and, on the memoized sweep path, immediately replaced
-	// by warmed donor clones. Default-machine points therefore start
-	// from bare geometry and attach models only when no donor serves
-	// them. Result-cached studies keep the full construction so machine
-	// fingerprints (and thus cache keys) are computed from the complete
-	// configuration.
-	bare := cfg.bareMachine && cfg.Cache == nil
+	// by warmed donor clones; a result-cache hit needs none at all.
+	// Default-machine points therefore start from bare geometry and
+	// attach models only when no donor serves them. Their cache key
+	// takes the full machine's fingerprint from a per-depth memo.
 	var mc pipeline.Config
 	var err error
-	if bare {
+	if cfg.bareMachine {
 		mc, err = pipeline.DefaultGeometry(depth)
 	} else {
 		mc, err = cfg.Machine(depth)
@@ -359,7 +358,7 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 			return DepthPoint{
 				Depth:      depth,
 				FO4:        v.FO4,
-				Result:     v.Result.Restore(mc),
+				Result:     v.Result.Restore(mc, key.ConfigHash),
 				GatedPower: v.GatedPower,
 				PlainPower: v.PlainPower,
 			}, true, nil
@@ -370,7 +369,7 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 	if ent != nil {
 		if cfg.Warmup > 0 {
 			wsp := psp.Child("warmup", span.Int("instructions", cfg.Warmup))
-			if bare {
+			if cfg.bareMachine {
 				if !ent.warmDefault(&mc, cfg.Warmup) {
 					pipeline.AttachDefaultModels(&mc)
 					if !ent.warmFromMemo(&mc, cfg.Warmup) {
@@ -381,12 +380,12 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 				pipeline.Warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
 			}
 			wsp.End()
-		} else if bare {
+		} else if cfg.bareMachine {
 			pipeline.AttachDefaultModels(&mc)
 		}
 		src = ent.packed.Slice(cfg.Warmup, cfg.Warmup+cfg.Instructions)
 	} else {
-		if bare {
+		if cfg.bareMachine {
 			pipeline.AttachDefaultModels(&mc)
 		}
 		dsp := psp.Child("decode")
@@ -435,10 +434,18 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 
 // cacheKey builds the content address of one design point. The
 // machine fingerprint is computed before warm-up mutates the config
-// (warm-up length is part of the key itself).
+// (warm-up length is part of the key itself); a bare default-machine
+// point uses the memoized fingerprint of the fully built default
+// machine at its depth.
 func cacheKey(cfg StudyConfig, mc *pipeline.Config, prof workload.Profile, depth int) resultcache.Key {
+	var hash string
+	if cfg.bareMachine {
+		hash = defaultConfigHash(depth)
+	} else {
+		hash = mc.Fingerprint()
+	}
 	return resultcache.Key{
-		ConfigHash:   mc.Fingerprint(),
+		ConfigHash:   hash,
 		PowerHash:    cfg.Power.Fingerprint(),
 		Workload:     prof.Name,
 		WorkloadHash: telemetry.Fingerprint(fmt.Sprintf("%+v", prof)),

@@ -225,6 +225,28 @@ func Warm(c *Config, src trace.Stream, n int) {
 	c.KeepState = true
 }
 
+// detached returns the configuration without its per-run model state
+// (predictor, BTB, cache hierarchy, instruction cache): what a Result
+// keeps of the machine it measured.
+func (c Config) detached() Config {
+	c.Predictor, c.BTB, c.Hierarchy, c.ICache = nil, nil, nil, nil
+	return c
+}
+
+// traffic snapshots the attached models' cumulative traffic counters.
+func (c *Config) traffic() ModelTraffic {
+	var t ModelTraffic
+	if c.Hierarchy != nil {
+		t.HasHierarchy = true
+		t.L1, t.L2 = c.Hierarchy.L1Stats(), c.Hierarchy.L2Stats()
+	}
+	if c.BTB != nil {
+		t.HasBTB = true
+		t.BTB = c.BTB.Stats()
+	}
+	return t
+}
+
 // MustDefaultConfig is DefaultConfig for known-good depths.
 func MustDefaultConfig(depth int) Config {
 	c, err := DefaultConfig(depth)

@@ -119,7 +119,7 @@ func (s *sim) checkRunInvariants() {
 			Detail: fmt.Sprintf("fetched %d ≠ completed %d + squashed 0 (issued=%d decoded=%d pending=%d)",
 				s.next, s.retired, s.issued, s.decoded, len(s.pending))})
 	}
-	CheckResultInvariants(s.inv, &s.res)
+	CheckResultInvariants(s.inv, s.res)
 }
 
 // CheckResultInvariants verifies every conservation and sanity law

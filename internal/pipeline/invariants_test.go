@@ -88,7 +88,7 @@ func TestCheckResultInvariantsTripsOnMutations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := base.Data().Restore(base.Config)
+			mut := base.Data().Restore(base.Config, base.Manifest.ConfigHash)
 			tc.mutate(mut)
 			rec := invariant.New(nil)
 			if CheckResultInvariants(rec, mut) {

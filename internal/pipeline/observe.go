@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"repro/internal/branch"
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
@@ -107,8 +108,9 @@ func (c *Config) manifest() telemetry.Manifest {
 
 // PublishMetrics registers the run's outcome into the registry: one
 // namespaced counter per figure the power monitor and stall
-// accounting track, plus the attached cache hierarchy's and BTB's
-// traffic counters. Counters aggregate across runs published into the
+// accounting track, plus the attached cache hierarchy's (cache.l1.*,
+// cache.l2.*) and BTB's (btb.*) traffic over the measured window,
+// warm-up excluded. Counters aggregate across runs published into the
 // same registry; gauges (ipc, bips) reflect the latest run.
 func (r *Result) PublishMetrics(reg *telemetry.Registry) {
 	reg.Counter("pipeline.instructions").Add(r.Instructions)
@@ -136,11 +138,19 @@ func (r *Result) PublishMetrics(reg *telemetry.Registry) {
 	reg.Gauge("pipeline.ipc").Set(r.IPC())
 	reg.Gauge("pipeline.bips").Set(r.BIPS())
 	r.PublishAttribution(reg)
-	if r.Config.Hierarchy != nil {
-		r.Config.Hierarchy.PublishMetrics(reg)
+	if t := r.Traffic; t.HasHierarchy {
+		for _, lvl := range [...]struct {
+			name  string
+			stats cache.Stats
+		}{{"l1", t.L1}, {"l2", t.L2}} {
+			reg.Counter("cache." + lvl.name + ".accesses").Add(lvl.stats.Accesses)
+			reg.Counter("cache." + lvl.name + ".misses").Add(lvl.stats.Misses)
+			reg.Counter("cache." + lvl.name + ".evictions").Add(lvl.stats.Evictions)
+		}
 	}
-	if r.Config.BTB != nil {
-		r.Config.BTB.PublishMetrics(reg)
+	if t := r.Traffic; t.HasBTB {
+		reg.Counter("btb.lookups").Add(t.BTB.Lookups)
+		reg.Counter("btb.hits").Add(t.BTB.Hits)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/branch"
+	"repro/internal/cache"
 	"repro/internal/telemetry"
 )
 
@@ -84,7 +86,35 @@ type ActivitySample struct {
 	Retired    uint64           // instructions retired within the interval
 }
 
-// Result is the outcome of one simulation run.
+// ModelTraffic is the attached models' demand traffic over a run's
+// measured window: warm-up traffic, including the statistics a warmed
+// donor clone inherits, is excluded. It holds plain values, so a
+// Result keeps none of the models themselves. It is not part of
+// ResultData: a Result restored from the result cache reports none.
+type ModelTraffic struct {
+	HasHierarchy bool        // a data-cache hierarchy was attached
+	L1, L2       cache.Stats // per-level accesses, misses and evictions
+	HasBTB       bool        // a branch target buffer was attached
+	BTB          branch.BTBStats
+}
+
+// since returns the traffic accumulated after the snapshot t0.
+func (t ModelTraffic) since(t0 ModelTraffic) ModelTraffic {
+	sub := func(a, b cache.Stats) cache.Stats {
+		return cache.Stats{Accesses: a.Accesses - b.Accesses,
+			Misses: a.Misses - b.Misses, Evictions: a.Evictions - b.Evictions}
+	}
+	t.L1, t.L2 = sub(t.L1, t0.L1), sub(t.L2, t0.L2)
+	t.BTB = branch.BTBStats{Lookups: t.BTB.Lookups - t0.BTB.Lookups, Hits: t.BTB.Hits - t0.BTB.Hits}
+	return t
+}
+
+// Result is the outcome of one simulation run. It is a value: Run
+// allocates it apart from the engine state, and its Config keeps the
+// machine's geometry, plan, technology and observers but none of the
+// per-run models (predictor, BTB, cache hierarchy, instruction cache),
+// so a retained Result pins no machine state. The run's identity is
+// Manifest.ConfigHash, the Fingerprint of the full configuration.
 type Result struct {
 	Config Config
 
@@ -117,6 +147,10 @@ type Result struct {
 	UnitOps           [NumUnits]uint64 // instructions processed per unit
 	Samples           []ActivitySample // interval trace (SampleInterval > 0)
 	MaxWindowOccupied int
+
+	// Traffic is the attached models' measured-window traffic, the
+	// cache.* and btb.* counters PublishMetrics exports.
+	Traffic ModelTraffic
 }
 
 // CycleTimeFO4 returns the cycle time of the simulated configuration.

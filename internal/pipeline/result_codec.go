@@ -5,12 +5,11 @@ import (
 )
 
 // ResultData is the serializable measurement payload of a Result: every
-// counter the simulator produced, without the live machine models
-// (predictor, caches, tracer) attached to the Config. It is the unit of
-// storage for the on-disk result cache — a Result split into the part
-// that must be persisted (this) and the part that can be rebuilt from
-// the machine configuration (the Config itself, identified by its
-// Fingerprint).
+// counter the simulator produced, without the Config and the model
+// traffic (see ModelTraffic). It is the unit of storage for the
+// on-disk result cache — a Result split into the part that must be
+// persisted (this) and the part that can be rebuilt from the machine
+// configuration (the Config itself, identified by its Fingerprint).
 type ResultData struct {
 	Instructions uint64 `json:"instructions"`
 	Cycles       uint64 `json:"cycles"`
@@ -69,16 +68,20 @@ func (r *Result) Data() ResultData {
 }
 
 // Restore rebuilds a Result from the payload under the given machine
-// configuration. The configuration must be equivalent (same
-// Fingerprint) to the one that produced the data: every derived figure
-// — IPC, BIPS, per-unit utilization, power evaluation — then matches
-// the original run exactly. The manifest is restamped to record the
-// restore rather than the original simulation's wall time.
-func (d ResultData) Restore(cfg Config) *Result {
+// configuration, identified by configHash (the full configuration's
+// Fingerprint, e.g. a result-cache key's ConfigHash). The geometry,
+// plan and technology must be those of the run that produced the data:
+// every derived figure — IPC, BIPS, per-unit utilization, power
+// evaluation — then matches the original run exactly. The
+// configuration may lack its models (a Result keeps none). The
+// manifest is restamped to record the restore rather than the original
+// simulation's wall time; the measured-window model traffic is not
+// part of the payload and reads zero.
+func (d ResultData) Restore(cfg Config, configHash string) *Result {
 	man := telemetry.NewManifest("pipeline.Restore")
-	man.ConfigHash = cfg.Fingerprint()
+	man.ConfigHash = configHash
 	r := &Result{
-		Config:            cfg,
+		Config:            cfg.detached(),
 		Manifest:          man,
 		Instructions:      d.Instructions,
 		Cycles:            d.Cycles,

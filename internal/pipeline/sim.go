@@ -40,10 +40,13 @@ var (
 // state lives in flat struct-of-arrays (window, pipe in unit.go): the
 // hot loop indexes contiguous arrays instead of chasing per-entry
 // pointers. Instruction fields are never copied into the window: every
-// stage reads the packed trace columns fc by sequence number.
+// stage reads the packed trace columns fc by sequence number. The
+// Result res is allocated apart and points back at nothing here, so a
+// returned Result never keeps the engine — its window, pipes or the
+// attached models — alive.
 type sim struct {
 	cfg  Config
-	res  Result
+	res  *Result
 	psrc *trace.PackedStream
 	fc   trace.Columns
 
@@ -117,6 +120,10 @@ type sim struct {
 	// stall cycle, for closed-form replication.
 	skip       bool
 	lastBucket CycleBucket
+
+	// traffic0 is the attached models' traffic at the start of the
+	// measured window; the Result reports the difference at its end.
+	traffic0 ModelTraffic
 }
 
 // Run simulates the stream to completion on the configured machine
@@ -189,11 +196,13 @@ func newSim(cfg Config, src *trace.PackedStream) *sim {
 	if cfg.OutOfOrder {
 		s.pending = make([]uint64, 0, cfg.WindowCap)
 	}
-	s.res.Config = cfg
-	s.res.IssueHist = make([]uint64, cfg.Width+1)
+	s.res = &Result{Config: cfg.detached(), IssueHist: make([]uint64, cfg.Width+1)}
 	if cfg.Hierarchy != nil && !cfg.KeepState {
 		cfg.Hierarchy.Reset()
 	}
+	// Warmed models (a donor clone included) carry their warm-up
+	// traffic; the measured window starts here.
+	s.traffic0 = cfg.traffic()
 	return s
 }
 
@@ -208,6 +217,7 @@ func (s *sim) run(start time.Time) (*Result, error) {
 		return nil, fmt.Errorf("%w at cycle %d", err, s.cycle)
 	}
 	s.res.Cycles = s.cycle
+	s.res.Traffic = s.cfg.traffic().since(s.traffic0)
 	if s.inv != nil {
 		s.checkRunInvariants()
 	}
@@ -216,7 +226,7 @@ func (s *sim) run(start time.Time) (*Result, error) {
 	if s.cfg.Metrics != nil {
 		s.res.PublishMetrics(s.cfg.Metrics)
 	}
-	return &s.res, nil
+	return s.res, nil
 }
 
 // loop is the cycle body. Each cycle processes the stages back to
@@ -241,7 +251,7 @@ func (s *sim) loop() error {
 	_, lo, hi := s.psrc.Trace()
 	var (
 		w   = &s.w
-		res = &s.res
+		res = s.res
 
 		cls   = s.fc.Class
 		flg   = s.fc.Flags

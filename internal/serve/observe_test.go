@@ -203,8 +203,10 @@ func TestLedgerCancelQueuedEmitsOneEvent(t *testing.T) {
 }
 
 // TestObservabilityDisabledByDefault pins the nil path: zero Options
-// build no watchdog and no ledger, and the removed history, SLO and
-// ops-dashboard routes 404.
+// build no watchdog and no ledger, the created span tracer buffers no
+// records (only the ledger reads them back) while still feeding the
+// span histograms, and the removed history, SLO and ops-dashboard
+// routes 404.
 func TestObservabilityDisabledByDefault(t *testing.T) {
 	s, hs := newTestServer(t, Options{Workers: 1})
 	if s.Ledger() != nil || s.dog != nil {
@@ -223,6 +225,12 @@ func TestObservabilityDisabledByDefault(t *testing.T) {
 	// Jobs still run exactly as before.
 	st, _ := submit(t, hs.URL, smallSpec())
 	waitState(t, hs.URL, st.ID, StateDone)
+	if n := s.spans.Len(); n != 0 {
+		t.Errorf("span tracer buffered %d records without a ledger", n)
+	}
+	if n := s.Registry().Histogram("span.job_us").Count(); n != 1 {
+		t.Errorf("span.job_us count = %d, want 1", n)
+	}
 }
 
 // TestLedgerPhasesSurviveSpanBufferWrap runs jobs through a span

@@ -81,7 +81,9 @@ type Options struct {
 	Registry *telemetry.Registry
 	// Spans is the cost-attribution tracer ("request" and "job" roots
 	// plus core's study→workload→point trees); created on the registry
-	// if nil.
+	// if nil. The created tracer buffers span records only with a
+	// LedgerDir, whose job events roll them up; otherwise its spans
+	// only feed the span.*_us histograms.
 	Spans *span.Tracer
 	// Invariants, when non-nil, attaches the runtime conformance
 	// engine to every simulated point.
@@ -166,7 +168,11 @@ func New(opts Options) (*Server, error) {
 		opts.Log = slog.Default()
 	}
 	if opts.Spans == nil {
-		opts.Spans = span.NewTracer(opts.Registry, 0)
+		capacity := span.NoRecords
+		if opts.LedgerDir != "" {
+			capacity = span.DefaultMaxSpans
+		}
+		opts.Spans = span.NewTracer(opts.Registry, capacity)
 	}
 	if opts.Cache == nil {
 		c, err := resultcache.Open(resultcache.Options{Metrics: opts.Registry})

@@ -56,6 +56,11 @@ type Record struct {
 // bounded memory.
 const DefaultMaxSpans = 1 << 17
 
+// NoRecords is the NewTracer capacity of a tracer that buffers no
+// records: its spans only feed the "span.<name>_us" histograms, for a
+// process that exports those but never reads the span tree back.
+const NoRecords = -1
+
 // Tracer collects completed spans in a fixed-capacity ring: when full,
 // the oldest record is evicted (and counted as dropped), so the tracer
 // always holds the most recent spans — a just-finished job's subtree
@@ -64,25 +69,33 @@ const DefaultMaxSpans = 1 << 17
 type Tracer struct {
 	epoch time.Time
 	reg   *telemetry.Registry
-	max   int
+	max   int // ring capacity; 0 buffers nothing
 
 	mu      sync.Mutex
 	records []Record // ring of up to max records; oldest at head once full
 	head    int
-	nextID  uint64
-	dropped uint64
+	// children indexes the buffered records by parent ID — ring slots
+	// in insertion order — so Rollup walks the subtree, not the whole
+	// buffer. The ring evicts oldest-first, so an evicted record is
+	// always the first slot of its parent's list.
+	children map[uint64][]int
+	nextID   uint64
+	dropped  uint64
 }
 
 // NewTracer returns a tracer buffering up to capacity completed spans
-// (DefaultMaxSpans if capacity ≤ 0). When reg is non-nil, every
-// completed span observes its duration into the "span.<name>_us"
-// histogram there.
+// (DefaultMaxSpans if capacity is 0, none if it is negative: see
+// NoRecords). When reg is non-nil, every completed span observes its
+// duration into the "span.<name>_us" histogram there.
 func NewTracer(reg *telemetry.Registry, capacity int) *Tracer {
-	if capacity <= 0 {
+	switch {
+	case capacity == 0:
 		capacity = DefaultMaxSpans
+	case capacity < 0:
+		capacity = 0
 	}
 	//lint:ignore detrange monotonic epoch for span timestamps; never feeds a simulated figure
-	return &Tracer{epoch: time.Now(), reg: reg, max: capacity}
+	return &Tracer{epoch: time.Now(), reg: reg, max: capacity, children: map[uint64][]int{}}
 }
 
 // Span is one in-progress operation. A nil *Span (disabled tracer, or
@@ -150,15 +163,16 @@ func (s *Span) End() {
 	}
 	dur := time.Since(s.start)
 	t := s.tr
-	rec := Record{
-		ID:      s.id,
-		Parent:  s.parent,
-		Name:    s.name,
-		Attrs:   s.attrs,
-		StartNS: s.start.Sub(t.epoch).Nanoseconds(),
-		DurNS:   dur.Nanoseconds(),
+	if t.max > 0 {
+		t.add(Record{
+			ID:      s.id,
+			Parent:  s.parent,
+			Name:    s.name,
+			Attrs:   s.attrs,
+			StartNS: s.start.Sub(t.epoch).Nanoseconds(),
+			DurNS:   dur.Nanoseconds(),
+		})
 	}
-	t.add(rec)
 	if t.reg != nil {
 		t.reg.Histogram("span." + s.name + "_us").Observe(uint64(dur.Microseconds()))
 	}
@@ -167,13 +181,22 @@ func (s *Span) End() {
 // add buffers one completed span, evicting the oldest when full.
 func (t *Tracer) add(rec Record) {
 	t.mu.Lock()
-	if len(t.records) < t.max {
+	slot := len(t.records)
+	if slot < t.max {
 		t.records = append(t.records, rec)
 	} else {
-		t.records[t.head] = rec
+		slot = t.head
+		parent := t.records[slot].Parent
+		if kids := t.children[parent]; len(kids) > 1 {
+			t.children[parent] = kids[1:]
+		} else {
+			delete(t.children, parent)
+		}
+		t.records[slot] = rec
 		t.head = (t.head + 1) % t.max
 		t.dropped++
 	}
+	t.children[rec.Parent] = append(t.children[rec.Parent], slot)
 	t.mu.Unlock()
 }
 
@@ -250,26 +273,24 @@ type RollupEntry struct {
 // Rollup aggregates the completed descendants of the span with ID root
 // (the root itself excluded) by name: per-phase counts and total
 // durations for one subtree — how the ledger turns a job's span tree
-// into wide-event phase columns. Only buffered spans count: once the
-// ring is full the oldest records are evicted, so a subtree that just
-// completed is whole unless it alone outgrows the buffer. Safe on a
-// nil tracer (returns nil).
+// into wide-event phase columns. It walks the parent index, so its
+// cost is the subtree's size, not the buffer's. Only buffered spans
+// count: once the ring is full the oldest records are evicted, so a
+// subtree that just completed is whole unless it alone outgrows the
+// buffer. Safe on a nil tracer (returns nil).
 func (t *Tracer) Rollup(root uint64) map[string]RollupEntry {
 	if t == nil {
 		return nil
 	}
-	recs := t.Records()
-	children := make(map[uint64][]int, len(recs))
-	for i, r := range recs {
-		children[r.Parent] = append(children[r.Parent], i)
-	}
 	out := make(map[string]RollupEntry)
-	stack := append([]uint64(nil), root)
+	stack := []uint64{root}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, i := range children[id] {
-			r := recs[i]
+		for _, slot := range t.children[id] {
+			r := &t.records[slot]
 			e := out[r.Name]
 			e.Count++
 			e.TotalNS += r.DurNS

@@ -3,6 +3,8 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -330,5 +332,83 @@ func TestRollup(t *testing.T) {
 	// A subtree with no completed descendants rolls up to nil.
 	if r := tr.Rollup(999); r != nil {
 		t.Fatalf("unknown root rolled up to %v, want nil", r)
+	}
+}
+
+// scanRollup is Rollup by brute force over the sorted record copy: the
+// reference the parent-indexed walk must match.
+func scanRollup(tr *Tracer, root uint64) map[string]RollupEntry {
+	recs := tr.Records()
+	out := map[string]RollupEntry{}
+	in := map[uint64]bool{root: true}
+	// Records sort by start; a child may start before its parent in
+	// synthetic input, so iterate to a fixed point.
+	for changed := true; changed; {
+		changed = false
+		for _, r := range recs {
+			if in[r.Parent] && !in[r.ID] {
+				in[r.ID] = true
+				changed = true
+				e := out[r.Name]
+				e.Count++
+				e.TotalNS += r.DurNS
+				out[r.Name] = e
+			}
+		}
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// TestRollupIndexMatchesScanAcrossEviction drives a small ring far
+// past capacity with random trees and checks, after every record, that
+// the parent-indexed Rollup agrees with a full scan.
+func TestRollupIndexMatchesScanAcrossEviction(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	names := []string{"job", "study", "workload", "point", "simulate"}
+	tr := NewTracer(nil, 37)
+	var ids []uint64
+	for id := uint64(1); id <= 600; id++ {
+		parent := uint64(0)
+		if len(ids) > 0 && rng.Intn(5) > 0 {
+			parent = ids[len(ids)-1-rng.Intn(min(len(ids), 20))]
+		}
+		tr.add(Record{ID: id, Parent: parent, Name: names[rng.Intn(len(names))],
+			StartNS: int64(id), DurNS: int64(rng.Intn(1000))})
+		ids = append(ids, id)
+		for _, root := range []uint64{0, parent, ids[rng.Intn(len(ids))]} {
+			if got, want := tr.Rollup(root), scanRollup(tr, root); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after record %d: Rollup(%d) = %v, scan gives %v", id, root, got, want)
+			}
+		}
+	}
+	if tr.Len() != 37 || tr.Dropped() != 600-37 {
+		t.Fatalf("buffered %d, dropped %d", tr.Len(), tr.Dropped())
+	}
+}
+
+// TestNoRecordsTracerFeedsHistogramsOnly: a NoRecords tracer hands out
+// spans and feeds the span.<name>_us histograms but buffers nothing.
+func TestNoRecordsTracerFeedsHistogramsOnly(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := NewTracer(reg, NoRecords)
+	job := tr.Start("job")
+	for i := 0; i < 3; i++ {
+		job.Child("point").End()
+	}
+	job.End()
+	if job.ID() == 0 {
+		t.Fatal("NoRecords tracer handed out a nil span")
+	}
+	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Records() != nil || tr.Rollup(job.ID()) != nil {
+		t.Fatalf("NoRecords tracer buffered spans: len %d, dropped %d", tr.Len(), tr.Dropped())
+	}
+	if n := reg.Histogram("span.point_us").Count(); n != 3 {
+		t.Fatalf("span.point_us count = %d, want 3", n)
+	}
+	if n := reg.Histogram("span.job_us").Count(); n != 1 {
+		t.Fatalf("span.job_us count = %d, want 1", n)
 	}
 }

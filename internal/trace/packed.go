@@ -11,9 +11,10 @@ import (
 // fully decoded into flat struct-of-arrays columns, one entry per
 // dynamic instruction. Everything the simulator's fetch stage would
 // otherwise re-derive per record — operand presence, memory/branch
-// annotations, the address-path base register, FP latencies and the
-// in-trace dependency offsets — is resolved once at pack time, so the
-// hot loop iterates arrays instead of re-interpreting records.
+// annotations, the address-path base register and FP latencies — is
+// resolved once at pack time, so the hot loop iterates arrays instead
+// of re-interpreting records. The columns hold exactly what the
+// simulator reads: 31 bytes per instruction.
 //
 // A PackedTrace is append-only while being built and immutable once
 // streamed; the same packed trace can back any number of concurrent
@@ -29,19 +30,6 @@ type PackedTrace struct {
 	pc     []uint64
 	addr   []uint64
 	target []uint64
-
-	// Dependency offsets: distance, in dynamic instructions, back to
-	// the most recent earlier writer of each source operand (0 = no
-	// in-trace producer). Pre-resolving them at pack time gives tools
-	// and tests O(1) access to the dependence structure the scoreboard
-	// otherwise discovers cycle by cycle.
-	src1Dep []uint32
-	src2Dep []uint32
-	baseDep []uint32
-
-	// lastWriter[r] is 1 + the index of the newest packed instruction
-	// writing r (0 = none yet); builder state for the offsets above.
-	lastWriter [isa.NumRegs]int
 }
 
 // Flag bits of the packed per-instruction flags column (see Columns).
@@ -147,19 +135,16 @@ func NewPackedTrace(n int) *PackedTrace {
 		n = 0
 	}
 	return &PackedTrace{
-		class:   make([]uint8, 0, n),
-		flags:   make([]uint8, 0, n),
-		dst:     make([]isa.Reg, 0, n),
-		src1:    make([]isa.Reg, 0, n),
-		src2:    make([]isa.Reg, 0, n),
-		base:    make([]isa.Reg, 0, n),
-		fplat:   make([]uint8, 0, n),
-		pc:      make([]uint64, 0, n),
-		addr:    make([]uint64, 0, n),
-		target:  make([]uint64, 0, n),
-		src1Dep: make([]uint32, 0, n),
-		src2Dep: make([]uint32, 0, n),
-		baseDep: make([]uint32, 0, n),
+		class:  make([]uint8, 0, n),
+		flags:  make([]uint8, 0, n),
+		dst:    make([]isa.Reg, 0, n),
+		src1:   make([]isa.Reg, 0, n),
+		src2:   make([]isa.Reg, 0, n),
+		base:   make([]isa.Reg, 0, n),
+		fplat:  make([]uint8, 0, n),
+		pc:     make([]uint64, 0, n),
+		addr:   make([]uint64, 0, n),
+		target: make([]uint64, 0, n),
 	}
 }
 
@@ -171,7 +156,6 @@ func (p *PackedTrace) Append(in isa.Instruction) error {
 	if err := in.Validate(); err != nil {
 		return fmt.Errorf("trace: pack instruction %d: %w", p.Len(), err)
 	}
-	i := len(p.class)
 	var f uint8
 	if in.Taken {
 		f |= packedTaken
@@ -196,26 +180,7 @@ func (p *PackedTrace) Append(in isa.Instruction) error {
 	p.pc = append(p.pc, in.PC)
 	p.addr = append(p.addr, in.Addr)
 	p.target = append(p.target, in.Target)
-	p.src1Dep = append(p.src1Dep, p.depOffset(i, in.Src1))
-	p.src2Dep = append(p.src2Dep, p.depOffset(i, in.Src2))
-	p.baseDep = append(p.baseDep, p.depOffset(i, base))
-	if in.WritesReg() {
-		p.lastWriter[in.Dst] = i + 1
-	}
 	return nil
-}
-
-// depOffset resolves the dependency offset of operand r for the
-// instruction being packed at index i.
-func (p *PackedTrace) depOffset(i int, r isa.Reg) uint32 {
-	if r == isa.RegNone {
-		return 0
-	}
-	w := p.lastWriter[r]
-	if w == 0 {
-		return 0
-	}
-	return uint32(i - (w - 1))
 }
 
 // Len returns the number of packed instructions.
@@ -249,13 +214,6 @@ func (p *PackedTrace) WritesReg(i int) bool { return p.flags[i]&packedWritesReg 
 // BaseReg returns the pre-resolved address-path base register of
 // record i (RegNone for non-memory records).
 func (p *PackedTrace) BaseReg(i int) isa.Reg { return p.base[i] }
-
-// DepOffsets returns the pre-resolved dependency offsets of record i:
-// the distance back to the newest earlier writer of Src1, Src2 and
-// the base register (0 = no in-trace producer).
-func (p *PackedTrace) DepOffsets(i int) (src1, src2, base uint32) {
-	return p.src1Dep[i], p.src2Dep[i], p.baseDep[i]
-}
 
 // Unpack materializes the packed trace back into a record slice.
 func (p *PackedTrace) Unpack() []isa.Instruction {

@@ -10,7 +10,7 @@ import (
 
 // packedTestStream builds a deterministic pseudo-random instruction
 // stream covering every class and operand shape, with enough register
-// reuse that dependency offsets and slot-reuse paths are exercised.
+// reuse that register dependences and slot-reuse paths are exercised.
 func packedTestStream(n int, seed int64) []isa.Instruction {
 	rng := rand.New(rand.NewSource(seed))
 	ins := make([]isa.Instruction, 0, n)
@@ -98,46 +98,6 @@ func TestPackedAnnotationsMatchInstruction(t *testing.T) {
 	}
 }
 
-// TestPackedDepOffsets checks the pre-resolved dependency offsets
-// against a straightforward last-writer replay of the stream.
-func TestPackedDepOffsets(t *testing.T) {
-	ins := packedTestStream(400, 13)
-	p, err := Pack(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	last := map[isa.Reg]int{} // reg -> newest writer index
-	offset := func(i int, r isa.Reg) uint32 {
-		if r == isa.RegNone {
-			return 0
-		}
-		w, ok := last[r]
-		if !ok {
-			return 0
-		}
-		return uint32(i - w)
-	}
-	for i, in := range ins {
-		base := isa.RegNone
-		if in.HasMemory() {
-			base = in.BaseReg()
-		}
-		s1, s2, b := p.DepOffsets(i)
-		if want := offset(i, in.Src1); s1 != want {
-			t.Fatalf("src1 dep of %d = %d, want %d", i, s1, want)
-		}
-		if want := offset(i, in.Src2); s2 != want {
-			t.Fatalf("src2 dep of %d = %d, want %d", i, s2, want)
-		}
-		if want := offset(i, base); b != want {
-			t.Fatalf("base dep of %d = %d, want %d", i, b, want)
-		}
-		if in.WritesReg() {
-			last[in.Dst] = i
-		}
-	}
-}
-
 // TestPackChunkInsensitive is the chunk-size property: appending the
 // same stream in chunks of any size (including the degenerate 1) must
 // produce a packed trace identical to the one-shot pack — the packed
@@ -175,8 +135,9 @@ func TestPackChunkInsensitive(t *testing.T) {
 	}
 }
 
-// packedEqual compares two packed traces column by column, dependency
-// offsets included (Unpack alone would not see a dep-offset bug).
+// packedEqual compares two packed traces column by column, the
+// pre-resolved annotations included (Unpack alone would not see an
+// annotation bug).
 func packedEqual(a, b *PackedTrace) bool {
 	if a.Len() != b.Len() {
 		return false
@@ -185,11 +146,6 @@ func packedEqual(a, b *PackedTrace) bool {
 		return false
 	}
 	for i := 0; i < a.Len(); i++ {
-		as1, as2, ab := a.DepOffsets(i)
-		bs1, bs2, bb := b.DepOffsets(i)
-		if as1 != bs1 || as2 != bs2 || ab != bb {
-			return false
-		}
 		if a.HasMemory(i) != b.HasMemory(i) || a.WritesReg(i) != b.WritesReg(i) || a.BaseReg(i) != b.BaseReg(i) {
 			return false
 		}
@@ -317,7 +273,7 @@ func TestPackedIterationAllocFree(t *testing.T) {
 	if avg := testing.AllocsPerRun(200, func() {
 		sink = p.At(17)
 		_ = p.HasMemory(17)
-		_, _, _ = p.DepOffsets(17)
+		_ = p.BaseReg(17)
 	}); avg != 0 {
 		t.Fatalf("At/annotation reads allocate %.1f/op, want 0", avg)
 	}
