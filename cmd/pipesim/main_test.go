@@ -1,0 +1,58 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/pipeline"
+)
+
+var update = flag.Bool("update", false, "rewrite golden files with current output")
+
+// TestMachineConfigHashGolden pins the ConfigHash of every machine
+// pipesim's -machine and -predictor flags build, at depths 2–25, so a
+// refactor of pipeline.Config cannot silently re-key them.
+func TestMachineConfigHashGolden(t *testing.T) {
+	var b strings.Builder
+	for _, m := range pipeline.Presets() {
+		for _, pred := range []string{"static", "bimodal", "gshare", "tournament"} {
+			for d := pipeline.MinSimDepth; d <= 25; d++ {
+				cfg, err := machineConfig(m, pred, d)
+				if err != nil {
+					t.Fatalf("%s/%s depth %d: %v", m, pred, d, err)
+				}
+				fmt.Fprintf(&b, "%s\t%s\t%d\t%s\n", m, pred, d, cfg.Fingerprint())
+			}
+		}
+	}
+	path := filepath.Join("testdata", "config_hashes.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got := b.String(); got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("config hash drift at line %d:\n got %s\nwant %s", i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("config hash golden has %d lines, got %d", len(wl), len(gl))
+	}
+}
+
+func TestMachineConfigRejectsUnknownPredictor(t *testing.T) {
+	if _, err := machineConfig("zseries", "oracle", 10); err == nil {
+		t.Fatal("unknown predictor accepted")
+	}
+}
