@@ -16,23 +16,10 @@ type Predictor interface {
 	Update(pc uint64, taken bool)
 	// Name identifies the predictor in reports.
 	Name() string
-}
-
-// Fingerprinter is implemented by predictors that can describe their
-// full configuration (kind and geometry, not transient counter state)
-// for run manifests and cache keys. Two predictors with equal
-// fingerprints must behave identically on identical streams.
-type Fingerprinter interface {
-	Fingerprint() string
-}
-
-// Cloner is implemented by predictors whose full state — geometry and
-// transient counters — can be deep-copied. A clone and its original
-// behave identically on identical streams and share no mutable state;
-// the sweep engine uses clones to replay one architectural warm-up
-// across many design points.
-type Cloner interface {
-	ClonePredictor() Predictor
+	// Clone deep-copies the predictor, geometry and trained counters
+	// alike. The clone and the original behave identically on
+	// identical streams and share no mutable state.
+	Clone() Predictor
 }
 
 // twoBit is a saturating two-bit counter: 0,1 predict not-taken;
@@ -72,11 +59,8 @@ func (*Static) Update(uint64, bool) {}
 // Name implements Predictor.
 func (*Static) Name() string { return "static" }
 
-// Fingerprint implements Fingerprinter.
-func (*Static) Fingerprint() string { return "static" }
-
-// ClonePredictor implements Cloner (the static predictor is stateless).
-func (*Static) ClonePredictor() Predictor { return &Static{} }
+// Clone implements Predictor (the static predictor is stateless).
+func (*Static) Clone() Predictor { return &Static{} }
 
 // Bimodal is a classic per-PC two-bit-counter predictor.
 type Bimodal struct {
@@ -112,11 +96,8 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return "bimodal" }
 
-// Fingerprint implements Fingerprinter.
-func (b *Bimodal) Fingerprint() string { return fmt.Sprintf("bimodal/%d", len(b.table)) }
-
-// ClonePredictor implements Cloner.
-func (b *Bimodal) ClonePredictor() Predictor { return b.clone() }
+// Clone implements Predictor.
+func (b *Bimodal) Clone() Predictor { return b.clone() }
 
 func (b *Bimodal) clone() *Bimodal {
 	return &Bimodal{table: append([]twoBit(nil), b.table...), mask: b.mask}
@@ -165,11 +146,8 @@ func (g *GShare) Update(pc uint64, taken bool) {
 // Name implements Predictor.
 func (g *GShare) Name() string { return "gshare" }
 
-// Fingerprint implements Fingerprinter.
-func (g *GShare) Fingerprint() string { return fmt.Sprintf("gshare/%d", len(g.table)) }
-
-// ClonePredictor implements Cloner.
-func (g *GShare) ClonePredictor() Predictor { return g.clone() }
+// Clone implements Predictor.
+func (g *GShare) Clone() Predictor { return g.clone() }
 
 func (g *GShare) clone() *GShare {
 	return &GShare{
@@ -230,11 +208,8 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 // Name implements Predictor.
 func (t *Tournament) Name() string { return "tournament" }
 
-// Fingerprint implements Fingerprinter.
-func (t *Tournament) Fingerprint() string { return fmt.Sprintf("tournament/%d", len(t.chooser)) }
-
-// ClonePredictor implements Cloner.
-func (t *Tournament) ClonePredictor() Predictor {
+// Clone implements Predictor.
+func (t *Tournament) Clone() Predictor {
 	return &Tournament{
 		bimodal: t.bimodal.clone(),
 		gshare:  t.gshare.clone(),
@@ -246,7 +221,7 @@ func (t *Tournament) ClonePredictor() Predictor {
 // Kind selects a predictor implementation by name.
 type Kind string
 
-// Predictor kinds accepted by New.
+// Predictor kinds a PredictorConfig accepts.
 const (
 	KindStatic     Kind = "static"
 	KindBimodal    Kind = "bimodal"
@@ -254,19 +229,53 @@ const (
 	KindTournament Kind = "tournament"
 )
 
-// New constructs a predictor of the given kind with 2^bits state
-// (ignored for static).
-func New(kind Kind, bits int) (Predictor, error) {
-	switch kind {
+// PredictorConfig describes a predictor by value: its kind and, for
+// the table-driven kinds, log2 of the table size. The zero value
+// describes no predictor.
+type PredictorConfig struct {
+	Kind Kind
+	Bits int // 2^Bits counters per table, 1–24; ignored for KindStatic
+}
+
+// Validate reports an unknown kind or a table size out of range.
+func (c PredictorConfig) Validate() error {
+	switch c.Kind {
 	case KindStatic:
-		return NewStatic(), nil
-	case KindBimodal:
-		return NewBimodal(bits), nil
-	case KindGShare:
-		return NewGShare(bits), nil
-	case KindTournament:
-		return NewTournament(bits), nil
+		return nil
+	case KindBimodal, KindGShare, KindTournament:
+		if c.Bits < 1 || c.Bits > 24 {
+			return fmt.Errorf("branch: %s bits %d out of range [1, 24]", c.Kind, c.Bits)
+		}
+		return nil
 	default:
-		return nil, fmt.Errorf("branch: unknown predictor kind %q", kind)
+		return fmt.Errorf("branch: unknown predictor kind %q", c.Kind)
+	}
+}
+
+// Fingerprint describes the predictor's kind and table size (never
+// trained state) for run manifests and cache keys, e.g.
+// "tournament/4096". Equal fingerprints build predictors that behave
+// identically on identical streams.
+func (c PredictorConfig) Fingerprint() string {
+	if c.Kind == KindStatic {
+		return "static"
+	}
+	return fmt.Sprintf("%s/%d", c.Kind, 1<<c.Bits)
+}
+
+// New builds a cold predictor of the described kind; the description
+// must be valid (see Validate).
+func (c PredictorConfig) New() Predictor {
+	switch c.Kind {
+	case KindStatic:
+		return NewStatic()
+	case KindBimodal:
+		return NewBimodal(c.Bits)
+	case KindGShare:
+		return NewGShare(c.Bits)
+	case KindTournament:
+		return NewTournament(c.Bits)
+	default:
+		panic(c.Validate())
 	}
 }

@@ -150,13 +150,62 @@ func TestPredictorsOnRandomBranches(t *testing.T) {
 
 func TestNewFactory(t *testing.T) {
 	for _, k := range []Kind{KindStatic, KindBimodal, KindGShare, KindTournament} {
-		p, err := New(k, 10)
-		if err != nil || p == nil {
-			t.Errorf("New(%q): %v", k, err)
+		c := PredictorConfig{Kind: k, Bits: 10}
+		if err := c.Validate(); err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if p := c.New(); p.Name() != string(k) {
+			t.Errorf("%+v built %q", c, p.Name())
 		}
 	}
-	if _, err := New("perceptron", 10); err == nil {
-		t.Error("unknown kind accepted")
+	for _, c := range []PredictorConfig{
+		{Kind: "perceptron", Bits: 10},
+		{Kind: KindBimodal, Bits: 0},
+		{Kind: KindGShare, Bits: 25},
+		{Kind: KindTournament},
+	} {
+		if err := c.Validate(); err == nil {
+			t.Errorf("%+v accepted", c)
+		}
+	}
+}
+
+// TestClonesAreIndependent trains a clone away from its original: the
+// original must keep predicting as before, and an untouched clone must
+// match the original prediction for prediction.
+func TestClonesAreIndependent(t *testing.T) {
+	for _, p := range []Predictor{NewStatic(), NewBimodal(8), NewGShare(8), NewTournament(8)} {
+		for i := 0; i < 50; i++ {
+			p.Update(uint64(0x1000+4*(i%5)), i%3 != 0)
+		}
+		twin, diverged := p.Clone(), p.Clone()
+		for i := 0; i < 200; i++ {
+			diverged.Update(uint64(0x1000+4*(i%5)), false)
+		}
+		for i := 0; i < 100; i++ {
+			pc, taken := uint64(0x1000+4*(i%7)), i%2 == 0
+			if a, b := p.Predict(pc), twin.Predict(pc); a != b {
+				t.Fatalf("%s: clone diverged at step %d", p.Name(), i)
+			}
+			p.Update(pc, taken)
+			twin.Update(pc, taken)
+		}
+	}
+}
+
+func TestConfigFingerprints(t *testing.T) {
+	for c, want := range map[PredictorConfig]string{
+		{Kind: KindStatic, Bits: 12}:     "static",
+		{Kind: KindBimodal, Bits: 10}:    "bimodal/1024",
+		{Kind: KindGShare, Bits: 12}:     "gshare/4096",
+		{Kind: KindTournament, Bits: 12}: "tournament/4096",
+	} {
+		if got := c.Fingerprint(); got != want {
+			t.Errorf("%+v fingerprint %q, want %q", c, got, want)
+		}
+	}
+	if got := (BTBConfig{Entries: 512, Ways: 4}).Fingerprint(); got != "btb/512/4" {
+		t.Errorf("BTB fingerprint %q", got)
 	}
 }
 

@@ -22,19 +22,40 @@ type BTB struct {
 	hits    uint64
 }
 
+// BTBConfig describes a BTB's geometry by value. The zero value
+// describes no BTB.
+type BTBConfig struct {
+	Entries int // total entries, a power of two
+	Ways    int // associativity, dividing Entries into a power-of-two set count
+}
+
+// Validate reports a geometry NewBTB would reject.
+func (c BTBConfig) Validate() error {
+	if c.Entries <= 0 || c.Entries&(c.Entries-1) != 0 {
+		return fmt.Errorf("branch: BTB entries %d not a positive power of two", c.Entries)
+	}
+	if c.Ways <= 0 || c.Entries%c.Ways != 0 {
+		return fmt.Errorf("branch: BTB ways %d incompatible with %d entries", c.Ways, c.Entries)
+	}
+	if sets := c.Entries / c.Ways; sets&(sets-1) != 0 {
+		return fmt.Errorf("branch: BTB set count %d not a power of two", sets)
+	}
+	return nil
+}
+
+// Fingerprint describes the geometry (never contents) for run
+// manifests and cache keys, e.g. "btb/512/4".
+func (c BTBConfig) Fingerprint() string {
+	return fmt.Sprintf("btb/%d/%d", c.Entries, c.Ways)
+}
+
 // NewBTB builds a BTB with the given number of entries (a power of
 // two) and associativity.
 func NewBTB(entries, ways int) (*BTB, error) {
-	if entries <= 0 || entries&(entries-1) != 0 {
-		return nil, fmt.Errorf("branch: BTB entries %d not a positive power of two", entries)
-	}
-	if ways <= 0 || entries%ways != 0 {
-		return nil, fmt.Errorf("branch: BTB ways %d incompatible with %d entries", ways, entries)
+	if err := (BTBConfig{Entries: entries, Ways: ways}).Validate(); err != nil {
+		return nil, err
 	}
 	sets := entries / ways
-	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("branch: BTB set count %d not a power of two", sets)
-	}
 	return &BTB{
 		sets:     sets,
 		ways:     ways,
@@ -57,12 +78,6 @@ func (b *BTB) Clone() *BTB {
 	c.valid = append([]bool(nil), b.valid...)
 	c.age = append([]uint64(nil), b.age...)
 	return &c
-}
-
-// Fingerprint describes the BTB geometry (not its transient contents)
-// for run manifests and cache keys.
-func (b *BTB) Fingerprint() string {
-	return fmt.Sprintf("btb/%d/%d", b.sets*b.ways, b.ways)
 }
 
 // MustBTB is NewBTB for known-good geometries.

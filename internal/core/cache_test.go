@@ -262,31 +262,25 @@ func TestRunCatalogSchedulesAgree(t *testing.T) {
 	}
 }
 
-// TestBareDefaultKeyMatchesFullConstruction pins the key stability of
-// bare default-machine points: at every simulated depth, the key built
-// from bare geometry (models never constructed, ConfigHash from the
-// per-depth memo) equals the key of the fully constructed default
-// machine, and a cache written through full construction serves every
-// bare point.
-func TestBareDefaultKeyMatchesFullConstruction(t *testing.T) {
+// TestDefaultMachineKeyIsStable pins the result-cache key of
+// default-machine points: at every simulated depth its ConfigHash is
+// the default Config's fingerprint (internal/experiments pins those in
+// its config-hash golden; depth 10 is 0601bf3dd4608022), a freshly
+// simulated point's manifest carries the same hash as the point
+// restored from the cache, and a cache written through an explicit
+// Machine serves every default point.
+func TestDefaultMachineKeyIsStable(t *testing.T) {
 	prof := workload.Representative(workload.SPECInt)
-	bare := StudyConfig{}.withDefaults()
-	full := StudyConfig{Machine: pipeline.DefaultConfig}.withDefaults()
-	if !bare.bareMachine || full.bareMachine {
-		t.Fatal("the default Machine must select bare geometry, an explicit one full construction")
-	}
+	def := StudyConfig{}.withDefaults()
 	for _, d := range DefaultDepths() {
-		geom, err := pipeline.DefaultGeometry(d)
-		if err != nil {
-			t.Fatal(err)
+		mc := pipeline.MustDefaultConfig(d)
+		if got, want := cacheKey(def, &mc, prof, d).ConfigHash, mc.Fingerprint(); got != want {
+			t.Fatalf("depth %d: key ConfigHash %s, want %s", d, got, want)
 		}
-		mc, err := full.Machine(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := cacheKey(bare, &geom, prof, d), cacheKey(full, &mc, prof, d); got != want {
-			t.Fatalf("depth %d: bare key %+v, full-construction key %+v", d, got, want)
-		}
+	}
+	mc := pipeline.MustDefaultConfig(10)
+	if got := cacheKey(def, &mc, prof, 10).ConfigHash; got != "0601bf3dd4608022" {
+		t.Fatalf("depth 10: key ConfigHash %s, want 0601bf3dd4608022", got)
 	}
 
 	cache, err := resultcache.Open(resultcache.Options{Dir: t.TempDir()})
@@ -300,7 +294,7 @@ func TestBareDefaultKeyMatchesFullConstruction(t *testing.T) {
 	}
 	points := uint64(len(DefaultDepths()))
 	if st := cache.Stats(); st.Stores != points || st.Hits != 0 {
-		t.Fatalf("full-construction pass: %+v, want %d stores and no hits", st, points)
+		t.Fatalf("explicit-machine pass: %+v, want %d stores and no hits", st, points)
 	}
 	cfg.Machine = nil
 	served, err := RunSweep(cfg, prof)
@@ -308,15 +302,15 @@ func TestBareDefaultKeyMatchesFullConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Hits != points || st.Misses != points {
-		t.Fatalf("bare pass: %+v, want all %d points hit", st, points)
+		t.Fatalf("default pass: %+v, want all %d points hit", st, points)
 	}
 	if !bytes.Equal(summaryBytes(t, served), summaryBytes(t, written)) {
-		t.Fatal("bare points served from the cache differ from the full-construction run")
+		t.Fatal("default points served from the cache differ from the simulated run")
 	}
-	// A restored point is identified by its key's machine fingerprint.
-	for _, p := range served.Points {
-		if got, want := p.Result.Manifest.ConfigHash, defaultConfigHash(p.Depth); got != want {
-			t.Fatalf("depth %d: restored ConfigHash %q, want %q", p.Depth, got, want)
+	for i, p := range served.Points {
+		fresh := written.Points[i].Result.Manifest.ConfigHash
+		if got := p.Result.Manifest.ConfigHash; got != fresh {
+			t.Fatalf("depth %d: restored ConfigHash %s, simulated %s", p.Depth, got, fresh)
 		}
 	}
 }

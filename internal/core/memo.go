@@ -16,17 +16,17 @@ import (
 // process, and both are expensive enough to dominate a fast sweep:
 //
 //   - the packed instruction trace (generator replay + pack), and
-//   - the post-warm-up architectural state of the attached models
-//     (cache hierarchy, instruction cache, predictor, BTB) — the
-//     warm-up replays the same access stream into the same geometry
-//     regardless of pipeline depth, so its result is depth-invariant.
+//   - the post-warm-up models (cache hierarchy, instruction cache,
+//     predictor, BTB) — the warm-up replays the same access stream into
+//     the same model descriptions regardless of pipeline depth, so its
+//     result is depth-invariant.
 //
 // The memo caches both process-wide, keyed by the full workload
-// profile (and, for warm state, the model geometry and warm-up
-// length). Design points then clone the warmed donor instead of
-// re-streaming the warm-up, and sweeps reuse the packed trace instead
-// of re-packing. Clones are deep copies (branch.Cloner, cache.Clone),
-// so every point still owns private mutable state and results are
+// profile (and, for warmed models, the model descriptions and warm-up
+// length). The first point of a cell warms a pipeline.Models donor;
+// every point runs on a deep Clone of it instead of re-streaming the
+// warm-up, and sweeps reuse the packed trace instead of re-packing.
+// Every point still owns private mutable state, so results are
 // bit-identical to the unmemoized path — which the difftest engine
 // bit-identity tier checks end to end.
 //
@@ -39,19 +39,21 @@ import (
 // memo near the size of the full 55-workload catalog.
 const memoMaxEntries = 64
 
-// memoDonor holds the deep-copied post-warm-up model state for one
-// (workload, model geometry, warm-up length) cell.
-type memoDonor struct {
-	hierarchy *cache.Hierarchy
-	icache    *cache.Cache
-	predictor branch.Predictor
-	btb       *branch.BTB
+// donorKey identifies one warmed donor of a workload: the model
+// descriptions and the warm-up length. The rest of the machine
+// (geometry, depth, technology) never touches the models.
+type donorKey struct {
+	warmup    int
+	predictor branch.PredictorConfig
+	btb       branch.BTBConfig
+	hierarchy cache.HierarchyConfig
+	icache    cache.Config
 }
 
 // memoEntry is one workload's memoized artifacts.
 type memoEntry struct {
 	packed *trace.PackedTrace
-	donors map[string]*memoDonor
+	donors map[donorKey]*pipeline.Models
 }
 
 var sweepMemo = struct {
@@ -77,7 +79,7 @@ func packedFor(prof workload.Profile, total int) (*memoEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &memoEntry{packed: packed, donors: map[string]*memoDonor{}}
+	e := &memoEntry{packed: packed, donors: map[donorKey]*pipeline.Models{}}
 	if len(sweepMemo.order) >= memoMaxEntries {
 		delete(sweepMemo.entries, sweepMemo.order[0])
 		sweepMemo.order = sweepMemo.order[1:]
@@ -87,157 +89,26 @@ func packedFor(prof workload.Profile, total int) (*memoEntry, error) {
 	return e, nil
 }
 
-// modelKey fingerprints the machine's attached-model geometry (which
-// models are present and their shapes — never transient contents). An
-// empty key means the models cannot be safely donor-cloned and the
-// caller must warm per point.
-func modelKey(mc *pipeline.Config, warmup int) string {
-	g, ok := modelGeom(mc)
-	if !ok {
-		return ""
+// warmModels returns models for mc primed with the first warmup
+// instructions of the packed trace, cloned from the cell's donor: the
+// first point of a (model descriptions, warm-up) cell builds and warms
+// the donor, every point runs on a clone. Without a warm-up the models
+// are built cold and nothing is memoized.
+func (e *memoEntry) warmModels(mc *pipeline.Config, warmup int) (*pipeline.Models, error) {
+	if warmup == 0 {
+		return pipeline.NewModels(mc)
 	}
-	return fmt.Sprintf("w%d", warmup) + g
-}
-
-// modelGeom is modelKey's geometry part: the attached models' shape
-// fingerprints, without the warm-up length. ok is false when a model
-// cannot be safely donor-cloned.
-func modelGeom(mc *pipeline.Config) (string, bool) {
-	key := ""
-	if mc.Hierarchy != nil {
-		key += fmt.Sprintf("|h%+v", mc.Hierarchy.Config())
-	}
-	if mc.ICache != nil {
-		key += fmt.Sprintf("|i%+v", mc.ICache.Config())
-	}
-	if mc.Predictor != nil {
-		if _, ok := mc.Predictor.(branch.Cloner); !ok {
-			return "", false
-		}
-		fp, ok := mc.Predictor.(branch.Fingerprinter)
-		if !ok {
-			return "", false
-		}
-		key += "|p" + fp.Fingerprint()
-	}
-	if mc.BTB != nil {
-		key += "|b" + mc.BTB.Fingerprint()
-	}
-	return key, true
-}
-
-// defaultModelGeom fingerprints the baseline model set once per
-// process, so bare-geometry default-machine points can probe the donor
-// memo without constructing the models just to fingerprint them.
-var defaultModelGeom = sync.OnceValue(func() string {
-	var c pipeline.Config
-	pipeline.AttachDefaultModels(&c)
-	g, _ := modelGeom(&c)
-	return g
-})
-
-// defaultConfigHashes memoizes, per depth, the Fingerprint of the
-// fully built default machine (pipeline.DefaultConfig): the ConfigHash
-// of a bare default-geometry point's result-cache key, byte-identical
-// to the one the full construction yields.
-var defaultConfigHashes sync.Map // depth → string
-
-// defaultConfigHash returns the memoized default-machine fingerprint at
-// a depth whose geometry is known to be valid.
-func defaultConfigHash(depth int) string {
-	if h, ok := defaultConfigHashes.Load(depth); ok {
-		return h.(string)
-	}
-	mc := pipeline.MustDefaultConfig(depth)
-	h := mc.Fingerprint()
-	defaultConfigHashes.Store(depth, h)
-	return h
-}
-
-// warmDefault serves a bare default-geometry point straight from the
-// baseline-model donor memo: on a hit it installs warmed clones into
-// mc without ever constructing the default models. A miss returns
-// false, and the caller attaches fresh default models and takes the
-// ordinary warmFromMemo path — which seeds the donor under the same
-// key, so every later point of the cell hits here.
-func (e *memoEntry) warmDefault(mc *pipeline.Config, warmup int) bool {
-	key := fmt.Sprintf("w%d", warmup) + defaultModelGeom()
+	key := donorKey{warmup, mc.Predictor, mc.BTB, mc.Hierarchy, mc.ICache}
 	sweepMemo.Lock()
 	defer sweepMemo.Unlock()
 	d, ok := e.donors[key]
 	if !ok {
-		return false
-	}
-	if d.hierarchy != nil {
-		mc.Hierarchy = d.hierarchy.Clone()
-	}
-	if d.icache != nil {
-		mc.ICache = d.icache.Clone()
-	}
-	if d.predictor != nil {
-		mc.Predictor = d.predictor.(branch.Cloner).ClonePredictor()
-	}
-	if d.btb != nil {
-		mc.BTB = d.btb.Clone()
-	}
-	mc.KeepState = true
-	return true
-}
-
-// warmFromMemo primes mc's attached models with the first warmup
-// instructions of the packed trace, serving the state from the donor
-// memo when possible: the first point of a (geometry, warm-up) cell
-// streams the warm-up once and donates deep copies; every later point
-// clones the donor. Returns false when the models cannot be cloned
-// (the caller must warm per point).
-func (e *memoEntry) warmFromMemo(mc *pipeline.Config, warmup int) bool {
-	// Donor state stands in for warming the models the point arrived
-	// with, which is only sound when those models are cold (the Machine
-	// factory contract). A factory handing out pre-used caches falls
-	// back to the per-point warm.
-	if mc.Hierarchy != nil && mc.Hierarchy.L1Stats().Accesses != 0 {
-		return false
-	}
-	if mc.ICache != nil && mc.ICache.Stats().Accesses != 0 {
-		return false
-	}
-	key := modelKey(mc, warmup)
-	if key == "" {
-		return false
-	}
-	sweepMemo.Lock()
-	defer sweepMemo.Unlock()
-	d, ok := e.donors[key]
-	if !ok {
-		pipeline.Warm(mc, e.packed.Slice(0, warmup), warmup)
-		d = &memoDonor{}
-		if mc.Hierarchy != nil {
-			d.hierarchy = mc.Hierarchy.Clone()
+		var err error
+		if d, err = pipeline.NewModels(mc); err != nil {
+			return nil, err
 		}
-		if mc.ICache != nil {
-			d.icache = mc.ICache.Clone()
-		}
-		if mc.Predictor != nil {
-			d.predictor = mc.Predictor.(branch.Cloner).ClonePredictor()
-		}
-		if mc.BTB != nil {
-			d.btb = mc.BTB.Clone()
-		}
+		d.Warm(e.packed.Slice(0, warmup), warmup)
 		e.donors[key] = d
-		return true
 	}
-	if d.hierarchy != nil {
-		mc.Hierarchy = d.hierarchy.Clone()
-	}
-	if d.icache != nil {
-		mc.ICache = d.icache.Clone()
-	}
-	if d.predictor != nil {
-		mc.Predictor = d.predictor.(branch.Cloner).ClonePredictor()
-	}
-	if d.btb != nil {
-		mc.BTB = d.btb.Clone()
-	}
-	mc.KeepState = true
-	return true
+	return d.Clone(), nil
 }

@@ -54,8 +54,7 @@ type StudyConfig struct {
 	// Pd == 0).
 	Power power.Model
 	// Machine builds the simulator configuration for a depth;
-	// pipeline.DefaultConfig if nil. It must return a fresh Config
-	// per call (predictor and cache state are per-run).
+	// pipeline.DefaultConfig if nil.
 	Machine func(depth int) (pipeline.Config, error)
 	// Engine selects skip-ahead for every simulated point. The default
 	// (pipeline.EngineAuto) decodes each workload trace into packed
@@ -115,12 +114,6 @@ type StudyConfig struct {
 	// Spans; ignored when Spans is nil.
 	Parent *span.Span
 
-	// bareMachine notes that Machine defaulted to the package baseline,
-	// letting runPoint start points from bare geometry
-	// (pipeline.DefaultGeometry) and skip constructing model state a
-	// warmed donor clone would immediately replace or a result-cache
-	// hit would never use.
-	bareMachine bool
 	// prog is the shared completion counter, preset by RunCatalog so
 	// per-workload sweeps report catalog-wide progress.
 	prog *progressState
@@ -232,7 +225,6 @@ func (c StudyConfig) withDefaults() StudyConfig {
 	}
 	if c.Machine == nil {
 		c.Machine = pipeline.DefaultConfig
-		c.bareMachine = true
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.NumCPU()
@@ -325,19 +317,7 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 	psp := cfg.startSpan("point",
 		span.String("workload", prof.Name), span.Int("depth", depth))
 	defer psp.End()
-	// The default machine's models (notably the 1 MiB L2) are expensive
-	// to construct and, on the memoized sweep path, immediately replaced
-	// by warmed donor clones; a result-cache hit needs none at all.
-	// Default-machine points therefore start from bare geometry and
-	// attach models only when no donor serves them. Their cache key
-	// takes the full machine's fingerprint from a per-depth memo.
-	var mc pipeline.Config
-	var err error
-	if cfg.bareMachine {
-		mc, err = pipeline.DefaultGeometry(depth)
-	} else {
-		mc, err = cfg.Machine(depth)
-	}
+	mc, err := cfg.Machine(depth)
 	if err != nil {
 		return DepthPoint{}, false, fmt.Errorf("machine: %w", err)
 	}
@@ -365,44 +345,35 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 		}
 	}
 	mc.Engine = cfg.Engine
-	var src trace.Stream
+	var (
+		models *pipeline.Models
+		src    trace.Stream
+	)
 	if ent != nil {
-		if cfg.Warmup > 0 {
-			wsp := psp.Child("warmup", span.Int("instructions", cfg.Warmup))
-			if cfg.bareMachine {
-				if !ent.warmDefault(&mc, cfg.Warmup) {
-					pipeline.AttachDefaultModels(&mc)
-					if !ent.warmFromMemo(&mc, cfg.Warmup) {
-						pipeline.Warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
-					}
-				}
-			} else if !ent.warmFromMemo(&mc, cfg.Warmup) {
-				pipeline.Warm(&mc, ent.packed.Slice(0, cfg.Warmup), cfg.Warmup)
-			}
-			wsp.End()
-		} else if cfg.bareMachine {
-			pipeline.AttachDefaultModels(&mc)
+		wsp := warmupSpan(psp, cfg.Warmup)
+		models, err = ent.warmModels(&mc, cfg.Warmup)
+		wsp.End()
+		if err != nil {
+			return DepthPoint{}, false, err
 		}
 		src = ent.packed.Slice(cfg.Warmup, cfg.Warmup+cfg.Instructions)
 	} else {
-		if cfg.bareMachine {
-			pipeline.AttachDefaultModels(&mc)
-		}
 		dsp := psp.Child("decode")
 		gen, err := workload.NewGenerator(prof)
 		dsp.End()
 		if err != nil {
 			return DepthPoint{}, false, err
 		}
-		if cfg.Warmup > 0 {
-			wsp := psp.Child("warmup", span.Int("instructions", cfg.Warmup))
-			pipeline.Warm(&mc, gen, cfg.Warmup)
-			wsp.End()
+		if models, err = pipeline.NewModels(&mc); err != nil {
+			return DepthPoint{}, false, err
 		}
+		wsp := warmupSpan(psp, cfg.Warmup)
+		models.Warm(gen, cfg.Warmup)
+		wsp.End()
 		src = trace.NewLimitStream(gen, cfg.Instructions)
 	}
 	ssp := psp.Child("simulate", span.Int("instructions", cfg.Instructions))
-	res, err := pipeline.Run(mc, src)
+	res, err := pipeline.RunWith(mc, models, src)
 	ssp.End()
 	if err != nil {
 		return DepthPoint{}, false, err
@@ -432,20 +403,22 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 	return pt, false, nil
 }
 
-// cacheKey builds the content address of one design point. The
-// machine fingerprint is computed before warm-up mutates the config
-// (warm-up length is part of the key itself); a bare default-machine
-// point uses the memoized fingerprint of the fully built default
-// machine at its depth.
-func cacheKey(cfg StudyConfig, mc *pipeline.Config, prof workload.Profile, depth int) resultcache.Key {
-	var hash string
-	if cfg.bareMachine {
-		hash = defaultConfigHash(depth)
-	} else {
-		hash = mc.Fingerprint()
+// warmupSpan opens a point's warm-up phase span: nil, a no-op, when
+// there is no warm-up.
+func warmupSpan(psp *span.Span, n int) *span.Span {
+	if n == 0 {
+		return nil
 	}
+	return psp.Child("warmup", span.Int("instructions", n))
+}
+
+// cacheKey builds the content address of one design point. The
+// Config describes its models without holding them, so its
+// fingerprint is the same cold or warm (the warm-up length is a key
+// field of its own).
+func cacheKey(cfg StudyConfig, mc *pipeline.Config, prof workload.Profile, depth int) resultcache.Key {
 	return resultcache.Key{
-		ConfigHash:   hash,
+		ConfigHash:   mc.Fingerprint(),
 		PowerHash:    cfg.Power.Fingerprint(),
 		Workload:     prof.Name,
 		WorkloadHash: telemetry.Fingerprint(fmt.Sprintf("%+v", prof)),

@@ -7,9 +7,7 @@ import (
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/invariant"
-	"repro/internal/isa"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // EngineKind selects whether the one cycle body fast-forwards stall
@@ -32,8 +30,10 @@ const (
 )
 
 // Config specifies one simulation: the machine geometry, depth plan,
-// technology constants, and the attached predictor and cache
-// hierarchy.
+// technology constants, and value descriptions of the predictor, BTB
+// and caches. It holds no model state: every Run builds its models
+// cold from the descriptions (see Models), so a Config — and every copy
+// of it — gives the same Result each time it is run.
 type Config struct {
 	// Machine geometry.
 	Width       int // decode/issue/retire width (the paper's 4-issue machine)
@@ -59,13 +59,13 @@ type Config struct {
 	TP float64 // total logic delay, FO4
 	TO float64 // per-stage latch overhead, FO4
 
-	// Attached models. Predictor may be nil for perfect prediction;
-	// Hierarchy may be nil for a perfect (always-hit) cache; BTB may
-	// be nil for perfect target provision (taken redirects then cost
-	// only the RedirectBubble).
-	Predictor branch.Predictor
-	BTB       *branch.BTB
-	Hierarchy *cache.Hierarchy
+	// Model descriptions. A zero description means the model is
+	// absent: a zero Predictor is perfect prediction, a zero Hierarchy
+	// a perfect (always-hit) cache, and a zero BTB perfect target
+	// provision (taken redirects then cost only the RedirectBubble).
+	Predictor branch.PredictorConfig
+	BTB       branch.BTBConfig
+	Hierarchy cache.HierarchyConfig
 
 	// BTBMissBubbles is the extra fetch-hold, in cycles, when a
 	// correctly predicted taken branch misses the BTB and the target
@@ -77,21 +77,16 @@ type Config struct {
 	// The baseline models the era's blocking L1.
 	NonBlockingCache bool
 
-	// ICache models the instruction cache: when non-nil, fetch stalls
-	// on instruction-line misses for ICacheMissFO4 of time. The
-	// baseline assumes a perfect front end, as the paper's trace-
-	// driven methodology does.
-	ICache        *cache.Cache
+	// ICache describes the instruction cache: when non-zero, fetch
+	// stalls on instruction-line misses for ICacheMissFO4 of time. The
+	// baseline (zero) assumes a perfect front end, as the paper's
+	// trace-driven methodology does.
+	ICache        cache.Config
 	ICacheMissFO4 float64
 
 	// RedirectBubble inserts a one-cycle fetch bubble after every
 	// correctly predicted taken branch (taken-branch redirect).
 	RedirectBubble bool
-
-	// KeepState starts the run with the attached hierarchy's (and
-	// predictor's) existing contents instead of resetting them —
-	// used after an architectural warm-up pass.
-	KeepState bool
 
 	// WrongPathActivity charges the front end (fetch, decode, rename)
 	// with full-rate switching during misprediction-recovery windows:
@@ -146,23 +141,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the study's baseline machine at the given
-// depth: 4-issue, 2 AGUs, 2 cache ports, tournament predictor,
-// default cache hierarchy, t_p = 140 FO4, t_o = 2.5 FO4.
+// depth: 4-issue, 2 AGUs, 2 cache ports, tournament predictor, 512×4
+// BTB, default cache hierarchy, t_p = 140 FO4, t_o = 2.5 FO4.
 func DefaultConfig(depth int) (Config, error) {
-	c, err := DefaultGeometry(depth)
-	if err != nil {
-		return Config{}, err
-	}
-	AttachDefaultModels(&c)
-	return c, nil
-}
-
-// DefaultGeometry returns the baseline machine without its attached
-// models (predictor, BTB, cache hierarchy). Callers that immediately
-// replace the models — e.g. a sweep serving pre-warmed clones — skip
-// the cost of constructing state that would be thrown away;
-// AttachDefaultModels completes the configuration otherwise.
-func DefaultGeometry(depth int) (Config, error) {
 	plan, err := PlanDepth(depth)
 	if err != nil {
 		return Config{}, err
@@ -178,73 +159,12 @@ func DefaultGeometry(depth int) (Config, error) {
 		Plan:           plan,
 		TP:             140,
 		TO:             2.5,
+		Predictor:      branch.PredictorConfig{Kind: branch.KindTournament, Bits: 12},
+		BTB:            branch.BTBConfig{Entries: 512, Ways: 4},
+		Hierarchy:      cache.DefaultHierarchy(),
 		BTBMissBubbles: 2,
 		RedirectBubble: true,
 	}, nil
-}
-
-// AttachDefaultModels equips a configuration with the baseline's
-// freshly constructed model state: tournament predictor, 512×4 BTB,
-// and the default two-level cache hierarchy.
-func AttachDefaultModels(c *Config) {
-	c.Predictor = branch.NewTournament(12)
-	c.BTB = branch.MustBTB(512, 4)
-	c.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
-}
-
-// Warm primes the attached models — cache hierarchy, instruction
-// cache, branch predictor and BTB — with the first n instructions of
-// src (fewer if it ends first), then sets KeepState so the run that
-// follows measures steady state rather than a cold start.
-func Warm(c *Config, src trace.Stream, n int) {
-	if c.Hierarchy != nil {
-		c.Hierarchy.Reset()
-	}
-	for i := 0; i < n; i++ {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		if in.HasMemory() && c.Hierarchy != nil {
-			c.Hierarchy.Access(in.Addr)
-		}
-		if c.ICache != nil {
-			c.ICache.Access(in.PC)
-		}
-		if in.Class == isa.Branch {
-			if c.Predictor != nil {
-				c.Predictor.Predict(in.PC)
-				c.Predictor.Update(in.PC, in.Taken)
-			}
-			if c.BTB != nil && in.Taken {
-				c.BTB.Lookup(in.PC)
-				c.BTB.Update(in.PC, in.Target)
-			}
-		}
-	}
-	c.KeepState = true
-}
-
-// detached returns the configuration without its per-run model state
-// (predictor, BTB, cache hierarchy, instruction cache): what a Result
-// keeps of the machine it measured.
-func (c Config) detached() Config {
-	c.Predictor, c.BTB, c.Hierarchy, c.ICache = nil, nil, nil, nil
-	return c
-}
-
-// traffic snapshots the attached models' cumulative traffic counters.
-func (c *Config) traffic() ModelTraffic {
-	var t ModelTraffic
-	if c.Hierarchy != nil {
-		t.HasHierarchy = true
-		t.L1, t.L2 = c.Hierarchy.L1Stats(), c.Hierarchy.L2Stats()
-	}
-	if c.BTB != nil {
-		t.HasBTB = true
-		t.BTB = c.BTB.Stats()
-	}
-	return t
 }
 
 // MustDefaultConfig is DefaultConfig for known-good depths.
@@ -275,8 +195,11 @@ func (c *Config) Validate() error {
 	if c.BTBMissBubbles < 0 {
 		return errors.New("pipeline: negative BTB miss bubbles")
 	}
-	if c.ICache != nil && c.ICacheMissFO4 <= 0 {
+	if c.hasICache() && c.ICacheMissFO4 <= 0 {
 		return errors.New("pipeline: ICache requires a positive miss latency")
+	}
+	if err := c.validateModels(); err != nil {
+		return err
 	}
 	if c.Plan.Total() != c.Plan.Depth {
 		return fmt.Errorf("pipeline: plan stages %d ≠ depth %d", c.Plan.Total(), c.Plan.Depth)

@@ -68,7 +68,7 @@ func goldenConfig(t *testing.T, depth int) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.ICache = cache.MustNew(cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2})
+	cfg.ICache = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2}
 	cfg.ICacheMissFO4 = 90
 	return cfg
 }

@@ -141,7 +141,11 @@ func TestPlantedBreachSameOnEveryEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := newSim(cfg, ps)
+				m, err := NewModels(&cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newSim(cfg, m, ps)
 				plant(s)
 				r, err := s.run(time.Now())
 				if err != nil {

@@ -3,6 +3,8 @@ package pipeline
 import (
 	"testing"
 
+	"repro/internal/branch"
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -151,8 +153,8 @@ func TestOOOMispredictStillFreezes(t *testing.T) {
 		return ins
 	}
 	cfg := oooConfig(20)
-	cfg.Hierarchy = nil
-	cfg.Predictor = staticPredictor()
+	cfg.Hierarchy = cache.HierarchyConfig{}
+	cfg.Predictor = branch.PredictorConfig{Kind: branch.KindStatic}
 	r, err := Run(cfg, trace.NewSliceStream(mk()))
 	if err != nil {
 		t.Fatal(err)
@@ -174,18 +176,3 @@ func TestOOODeepAndShallowDepths(t *testing.T) {
 		}
 	}
 }
-
-// staticPredictor avoids importing branch in two test files.
-func staticPredictor() interface {
-	Predict(uint64) bool
-	Update(uint64, bool)
-	Name() string
-} {
-	return alwaysTaken{}
-}
-
-type alwaysTaken struct{}
-
-func (alwaysTaken) Predict(uint64) bool { return true }
-func (alwaysTaken) Update(uint64, bool) {}
-func (alwaysTaken) Name() string        { return "always-taken" }

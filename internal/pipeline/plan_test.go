@@ -176,10 +176,4 @@ func TestPresets(t *testing.T) {
 	if narrow.Width != 2 || wide.Width != 8 || !wide.OutOfOrder || narrow.OutOfOrder {
 		t.Error("preset geometry wrong")
 	}
-	// Fresh state per call.
-	a, _ := PresetConfig(PresetZSeries, 12)
-	b, _ := PresetConfig(PresetZSeries, 12)
-	if a.Predictor == b.Predictor {
-		t.Error("presets share predictor state")
-	}
 }

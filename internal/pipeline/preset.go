@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/branch"
-	"repro/internal/cache"
 )
 
 // Machine presets. The companion performance-only study (Hartstein &
@@ -42,8 +41,7 @@ func Presets() []string {
 	return names
 }
 
-// PresetConfig builds the named machine at the given depth. Each call
-// returns fresh predictor/cache state.
+// PresetConfig builds the named machine at the given depth.
 func PresetConfig(preset Preset, depth int) (Config, error) {
 	cfg, err := DefaultConfig(depth)
 	if err != nil {
@@ -60,8 +58,8 @@ func PresetConfig(preset Preset, depth int) (Config, error) {
 		cfg.CachePorts = 1
 		cfg.AgenQCap = 4
 		cfg.ExecQCap = 8
-		cfg.Predictor = branch.NewBimodal(10)
-		cfg.BTB = branch.MustBTB(128, 2)
+		cfg.Predictor = branch.PredictorConfig{Kind: branch.KindBimodal, Bits: 10}
+		cfg.BTB = branch.BTBConfig{Entries: 128, Ways: 2}
 	case PresetWide:
 		cfg.Width = 8
 		cfg.AgenWidth = 4
@@ -71,10 +69,8 @@ func PresetConfig(preset Preset, depth int) (Config, error) {
 		cfg.ExecQCap = 48
 		cfg.OutOfOrder = true
 		cfg.NonBlockingCache = true
-		hc := cache.DefaultHierarchy()
-		hc.PrefetchDegree = 4
-		cfg.Hierarchy = cache.MustHierarchy(hc)
-		cfg.BTB = branch.MustBTB(2048, 4)
+		cfg.Hierarchy.PrefetchDegree = 4
+		cfg.BTB = branch.BTBConfig{Entries: 2048, Ways: 4}
 	default:
 		return Config{}, fmt.Errorf("pipeline: unknown preset %q (have %v)", preset, Presets())
 	}

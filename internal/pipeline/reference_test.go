@@ -42,7 +42,7 @@ var referenceDepths = []int{4, 10, 18, 24}
 // sampling).
 var referenceVariants = map[string]func(*Config){
 	"icache": func(c *Config) {
-		c.ICache = cache.MustNew(cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2})
+		c.ICache = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2}
 		c.ICacheMissFO4 = 90
 	},
 	"nonblocking": func(c *Config) { c.NonBlockingCache = true },

@@ -38,7 +38,7 @@ func TestRXHeadBlocksOnMemoryOperand(t *testing.T) {
 	}
 	run := func(class isa.Class) *Result {
 		cfg := idealConfig(10)
-		cfg.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+		cfg.Hierarchy = cache.DefaultHierarchy()
 		cfg.NonBlockingCache = true // isolate the issue-side effect
 		return mustRun(t, cfg, mk(class))
 	}
@@ -67,7 +67,7 @@ func TestRXResultForwardsLikeALU(t *testing.T) {
 		)
 	}
 	cfg := idealConfig(10)
-	cfg.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+	cfg.Hierarchy = cache.DefaultHierarchy()
 	r := mustRun(t, cfg, ins)
 	// The serial RX→RR→RX chain costs ≈ the address-path latency per
 	// RX (its memory operand re-traverses agen+cache each iteration);

@@ -43,9 +43,10 @@ var (
 // stage reads the packed trace columns fc by sequence number. The
 // Result res is allocated apart and points back at nothing here, so a
 // returned Result never keeps the engine — its window, pipes or the
-// attached models — alive.
+// models — alive.
 type sim struct {
 	cfg  Config
+	m    *Models
 	res  *Result
 	psrc *trace.PackedStream
 	fc   trace.Columns
@@ -121,18 +122,34 @@ type sim struct {
 	skip       bool
 	lastBucket CycleBucket
 
-	// traffic0 is the attached models' traffic at the start of the
-	// measured window; the Result reports the difference at its end.
+	// traffic0 is the models' traffic at the start of the measured
+	// window; the Result reports the difference at its end.
 	traffic0 ModelTraffic
 }
 
-// Run simulates the stream to completion on the configured machine
-// and returns the measured Result. A *trace.PackedStream is simulated
-// in place; any other stream, which must end, is first drained into a
-// packed trace, so an invalid record is a returned error.
+// Run simulates the stream to completion on the configured machine,
+// with models built cold from its descriptions, and returns the
+// measured Result. A *trace.PackedStream is simulated in place; any
+// other stream, which must end, is first drained into a packed trace,
+// so an invalid record is a returned error.
 func Run(cfg Config, src trace.Stream) (*Result, error) {
+	m, err := NewModels(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	return RunWith(cfg, m, src)
+}
+
+// RunWith is Run on the given models in their current — typically
+// warmed — state; their warm-up traffic is excluded from the Result.
+// The models must have been built from cfg's descriptions, and the run
+// trains them further: pass a Clone to keep the state for another run.
+func RunWith(cfg Config, m *Models, src trace.Stream) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if m.spec != cfg.modelSpec() {
+		return nil, errModelMismatch
 	}
 	//lint:ignore detrange wall-clock manifest bookkeeping; never feeds a simulated figure
 	start := time.Now()
@@ -140,7 +157,7 @@ func Run(cfg Config, src trace.Stream) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSim(cfg, ps).run(start)
+	return newSim(cfg, m, ps).run(start)
 }
 
 // packInput returns src as a packed cursor, draining any stream that is
@@ -168,11 +185,13 @@ func packInput(src trace.Stream) (*trace.PackedStream, error) {
 	return p.Stream(), nil
 }
 
-// newSim builds the engine state for one run of a validated config.
-func newSim(cfg Config, src *trace.PackedStream) *sim {
+// newSim builds the engine state for one run of a validated config on
+// its models.
+func newSim(cfg Config, m *Models, src *trace.PackedStream) *sim {
 	t, pos, _ := src.Trace()
 	s := &sim{
 		cfg:         cfg,
+		m:           m,
 		psrc:        src,
 		fc:          t.Columns(pos),
 		w:           makeWindow(cfg.WindowCap),
@@ -196,13 +215,10 @@ func newSim(cfg Config, src *trace.PackedStream) *sim {
 	if cfg.OutOfOrder {
 		s.pending = make([]uint64, 0, cfg.WindowCap)
 	}
-	s.res = &Result{Config: cfg.detached(), IssueHist: make([]uint64, cfg.Width+1)}
-	if cfg.Hierarchy != nil && !cfg.KeepState {
-		cfg.Hierarchy.Reset()
-	}
+	s.res = &Result{Config: cfg, IssueHist: make([]uint64, cfg.Width+1)}
 	// Warmed models (a donor clone included) carry their warm-up
 	// traffic; the measured window starts here.
-	s.traffic0 = cfg.traffic()
+	s.traffic0 = m.traffic()
 	return s
 }
 
@@ -217,7 +233,7 @@ func (s *sim) run(start time.Time) (*Result, error) {
 		return nil, fmt.Errorf("%w at cycle %d", err, s.cycle)
 	}
 	s.res.Cycles = s.cycle
-	s.res.Traffic = s.cfg.traffic().since(s.traffic0)
+	s.res.Traffic = s.m.traffic().since(s.traffic0)
 	if s.inv != nil {
 		s.checkRunInvariants()
 	}
@@ -269,10 +285,10 @@ func (s *sim) loop() error {
 		decT     = s.decTransit
 		agenT    = s.agenTransit
 		cacheT   = s.cacheT
-		hier     = s.cfg.Hierarchy
-		icache   = s.cfg.ICache
-		pred     = s.cfg.Predictor
-		btb      = s.cfg.BTB
+		hier     = s.m.hierarchy
+		icache   = s.m.icache
+		pred     = s.m.predictor
+		btb      = s.m.btb
 		nonBlock = s.cfg.NonBlockingCache
 		redirect = s.cfg.RedirectBubble
 		btbBub   = uint64(s.cfg.BTBMissBubbles)
@@ -292,9 +308,8 @@ func (s *sim) loop() error {
 		memCycles   uint64
 	)
 	if hier != nil {
-		hcfg := hier.Config()
-		l2Cycles = s.cfg.LatencyCycles(hcfg.L2LatencyFO4)
-		memCycles = s.cfg.LatencyCycles(hcfg.MemLatencyFO4)
+		l2Cycles = s.cfg.LatencyCycles(s.cfg.Hierarchy.L2LatencyFO4)
+		memCycles = s.cfg.LatencyCycles(s.cfg.Hierarchy.MemLatencyFO4)
 	}
 
 	for !s.traceDone || s.retired != s.next {

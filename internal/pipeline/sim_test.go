@@ -18,8 +18,8 @@ import (
 // cache, to isolate the mechanism under test.
 func idealConfig(depth int) Config {
 	c := MustDefaultConfig(depth)
-	c.Predictor = nil
-	c.Hierarchy = nil
+	c.Predictor = branch.PredictorConfig{}
+	c.Hierarchy = cache.HierarchyConfig{}
 	c.RedirectBubble = false
 	return c
 }
@@ -135,7 +135,7 @@ func TestMispredictPenaltyScalesWithDepth(t *testing.T) {
 	}
 	run := func(depth int) *Result {
 		cfg := idealConfig(depth)
-		cfg.Predictor = branch.NewStatic()
+		cfg.Predictor = branch.PredictorConfig{Kind: branch.KindStatic}
 		return mustRun(t, cfg, mk())
 	}
 	shallow := run(5)
@@ -169,10 +169,10 @@ func TestCacheMissCost(t *testing.T) {
 		return ins
 	}
 	cfg := idealConfig(10)
-	cfg.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+	cfg.Hierarchy = cache.DefaultHierarchy()
 	hits := mustRun(t, cfg, mkLoads(0))
 	cfg = idealConfig(10)
-	cfg.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+	cfg.Hierarchy = cache.DefaultHierarchy()
 	misses := mustRun(t, cfg, mkLoads(1<<20)) // new L2-missing line every load
 	if hits.L1Misses > 1 {
 		t.Errorf("same-line loads missed %d times", hits.L1Misses)
@@ -204,7 +204,7 @@ func TestMissTimeCostShrinksWithDepth(t *testing.T) {
 	}
 	run := func(depth int) *Result {
 		cfg := idealConfig(depth)
-		cfg.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+		cfg.Hierarchy = cache.DefaultHierarchy()
 		return mustRun(t, cfg, mk())
 	}
 	shallow := run(5)
@@ -374,9 +374,13 @@ func TestWatchdogFiresOnPlantedDeadlock(t *testing.T) {
 	for _, engine := range []EngineKind{EngineAuto, EnginePerCycle} {
 		cfg := MustDefaultConfig(10)
 		cfg.Engine = engine
-		s := newSim(cfg, packed.Stream())
+		m, err := NewModels(&cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := newSim(cfg, m, packed.Stream())
 		s.inExecQ = cfg.ExecQCap
-		_, err := s.run(time.Now())
+		_, err = s.run(time.Now())
 		if !errors.Is(err, ErrNoProgress) {
 			t.Fatalf("engine %d: err = %v, want ErrNoProgress", engine, err)
 		}
@@ -468,7 +472,7 @@ func TestNonBlockingCacheOverlapsMisses(t *testing.T) {
 	}
 	run := func(nonBlocking bool) *Result {
 		cfg := idealConfig(10)
-		cfg.Hierarchy = cache.MustHierarchy(cache.DefaultHierarchy())
+		cfg.Hierarchy = cache.DefaultHierarchy()
 		cfg.NonBlockingCache = nonBlocking
 		return mustRun(t, cfg, mk())
 	}
@@ -496,7 +500,7 @@ func TestICacheMissesStallFetch(t *testing.T) {
 	}
 	perfect := mustRun(t, idealConfig(10), mk())
 	cfg := idealConfig(10)
-	cfg.ICache = cache.MustNew(cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2})
+	cfg.ICache = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2}
 	cfg.ICacheMissFO4 = 90
 	missy := mustRun(t, cfg, mk())
 	if missy.ICacheMisses < 1900 {
@@ -512,7 +516,7 @@ func TestICacheMissesStallFetch(t *testing.T) {
 		looped = append(looped, small...)
 	}
 	cfg2 := idealConfig(10)
-	cfg2.ICache = cache.MustNew(cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2})
+	cfg2.ICache = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2}
 	cfg2.ICacheMissFO4 = 90
 	hot := mustRun(t, cfg2, looped)
 	if hot.ICacheMisses > 110 {
@@ -522,7 +526,7 @@ func TestICacheMissesStallFetch(t *testing.T) {
 
 func TestICacheConfigValidation(t *testing.T) {
 	cfg := idealConfig(10)
-	cfg.ICache = cache.MustNew(cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2})
+	cfg.ICache = cache.Config{SizeBytes: 8 << 10, LineBytes: 64, Ways: 2}
 	cfg.ICacheMissFO4 = 0
 	if err := cfg.Validate(); err == nil {
 		t.Error("I-cache without miss latency accepted")
@@ -548,16 +552,16 @@ func TestBTBMissesCostFetchBubbles(t *testing.T) {
 		}
 		return ins
 	}
-	run := func(btb *branch.BTB) *Result {
+	machine := func(btb branch.BTBConfig) Config {
 		cfg := idealConfig(10)
-		cfg.Predictor = branch.NewStatic() // always taken: all correct here
+		cfg.Predictor = branch.PredictorConfig{Kind: branch.KindStatic} // always taken: all correct here
 		cfg.RedirectBubble = true
 		cfg.BTB = btb
 		cfg.BTBMissBubbles = 2
-		return mustRun(t, cfg, mk())
+		return cfg
 	}
-	perfect := run(nil)
-	tiny := run(branch.MustBTB(8, 2))
+	perfect := mustRun(t, machine(branch.BTBConfig{}), mk())
+	tiny := mustRun(t, machine(branch.BTBConfig{Entries: 8, Ways: 2}), mk())
 	if perfect.BTBMisses != 0 {
 		t.Fatalf("nil BTB recorded %d misses", perfect.BTBMisses)
 	}
@@ -569,9 +573,19 @@ func TestBTBMissesCostFetchBubbles(t *testing.T) {
 	}
 	// A warm, large BTB converges toward the perfect front end on
 	// repeated code.
-	big := branch.MustBTB(1024, 4)
-	first := run(big)
-	second := run(big) // BTB retained across runs
+	big := machine(branch.BTBConfig{Entries: 1024, Ways: 4})
+	models, err := NewModels(&big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := RunWith(big, models, trace.NewSliceStream(mk()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunWith(big, models, trace.NewSliceStream(mk())) // BTB retained across runs
+	if err != nil {
+		t.Fatal(err)
+	}
 	if second.BTBMisses > first.BTBMisses/10 {
 		t.Errorf("warm BTB still missing: %d then %d", first.BTBMisses, second.BTBMisses)
 	}
@@ -597,7 +611,7 @@ func TestWrongPathActivityRaisesFrontEndEnergy(t *testing.T) {
 	}
 	run := func(wrongPath bool) *Result {
 		cfg := idealConfig(16)
-		cfg.Predictor = branch.NewStatic()
+		cfg.Predictor = branch.PredictorConfig{Kind: branch.KindStatic}
 		cfg.WrongPathActivity = wrongPath
 		return mustRun(t, cfg, mk())
 	}
