@@ -83,6 +83,52 @@ func TestRunWarmCacheByteIdentical(t *testing.T) {
 	}
 }
 
+// TestRunConfigHashIndependentOfCache runs one warmed sweep without a
+// cache, then twice against one cache directory (cold, then warm): the
+// manifest's config_hash — the machine's fingerprint, never its
+// warm-up state — and stdout must be identical across all three.
+func TestRunConfigHashIndependentOfCache(t *testing.T) {
+	dir := t.TempDir()
+	hashOf := func(metrics string) string {
+		t.Helper()
+		b, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			var rec struct {
+				Type       string `json:"type"`
+				ConfigHash string `json:"config_hash"`
+			}
+			if json.Unmarshal([]byte(line), &rec) == nil && rec.Type == "manifest" {
+				return rec.ConfigHash
+			}
+		}
+		t.Fatalf("no manifest line in %s", metrics)
+		return ""
+	}
+	base := []string{"-workload", "si95-gcc", "-min", "9", "-max", "11", "-n", "3000", "-warmup", "3000"}
+	var outs, hashes []string
+	for i, extra := range [][]string{nil, {"-cache-dir", dir}, {"-cache-dir", dir}} {
+		metrics := filepath.Join(t.TempDir(), "m.jsonl")
+		args := append(append(append([]string(nil), base...), extra...), "-metrics-out", metrics)
+		code, out, stderr := runCLI(t, args)
+		if code != 0 {
+			t.Fatalf("run %d exit %d, stderr:\n%s", i, code, stderr)
+		}
+		outs, hashes = append(outs, out), append(hashes, hashOf(metrics))
+	}
+	for i := 1; i < 3; i++ {
+		if hashes[i] != hashes[0] || outs[i] != outs[0] {
+			t.Fatalf("run %d: config_hash %s, stdout equal %t; fresh run: config_hash %s",
+				i, hashes[i], outs[i] == outs[0], hashes[0])
+		}
+	}
+	if hashes[0] != "0601bf3dd4608022" {
+		t.Fatalf("config_hash %s, want the depth-10 default machine's 0601bf3dd4608022", hashes[0])
+	}
+}
+
 // TestRunProfileDir is the cost-attribution acceptance check: one
 // -profile-dir run must leave pprof captures and a span trace whose
 // intervals are consistent. Every span lies inside its parent (within

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/pipeline"
+	"repro/internal/resultcache"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
@@ -98,5 +100,49 @@ func TestPublishedModelTrafficIsMeasuredWindow(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
+	}
+}
+
+// maxAllocPerHit bounds the bytes one result-cache hit may allocate:
+// its key (the machine fingerprint), the restored Result and the
+// sweep's per-point bookkeeping. Building the machine's models for a
+// hit — the 1 MiB L2 alone is ~140 KiB of tags — exceeds it many times
+// over.
+const maxAllocPerHit = 16 << 10
+
+// TestCacheHitBuildsNoModels serves a preset machine's sweep from a
+// warm in-memory result cache and bounds the bytes allocated per
+// point: a Config describes its models, so a hit never constructs them.
+func TestCacheHitBuildsNoModels(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation figures are perturbed under the race detector")
+	}
+	cache, err := resultcache.Open(resultcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := StudyConfig{Instructions: 2000, Warmup: 2000, Parallelism: 1, Cache: cache,
+		Machine: func(d int) (pipeline.Config, error) {
+			return pipeline.PresetConfig(pipeline.PresetZSeries, d)
+		}}
+	prof := workload.Representative(workload.SPECInt)
+	if _, err := RunSweep(cfg, prof); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s, err := RunSweep(cfg, prof)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := uint64(len(s.Points))
+	if st := cache.Stats(); st.Hits != points {
+		t.Fatalf("second sweep: %+v, want %d hits", st, points)
+	}
+	per := (after.TotalAlloc - before.TotalAlloc) / points
+	t.Logf("%d bytes allocated per cache-hit point", per)
+	if per > maxAllocPerHit {
+		t.Fatalf("%d bytes allocated per cache-hit point, want ≤ %d", per, maxAllocPerHit)
 	}
 }
