@@ -211,10 +211,7 @@ func TestStats(t *testing.T) {
 	if m := Median([]float64{1, 2, 3, 4}); m != 2.5 {
 		t.Errorf("even Median = %g", m)
 	}
-	if s := StdDev(xs); !approxEq(s, math.Sqrt(2), 1e-12) {
-		t.Errorf("StdDev = %g", s)
-	}
-	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Median(nil)) || !math.IsNaN(StdDev(nil)) {
+	if !math.IsNaN(Mean(nil)) || !math.IsNaN(Median(nil)) {
 		t.Error("empty stats should be NaN")
 	}
 }
@@ -233,13 +230,7 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
-func TestArgMaxLinspace(t *testing.T) {
-	if i := ArgMax([]float64{1, 5, 3, 5}); i != 1 {
-		t.Errorf("ArgMax = %d, want 1 (first tie)", i)
-	}
-	if i := ArgMax(nil); i != -1 {
-		t.Errorf("ArgMax(nil) = %d", i)
-	}
+func TestLinspace(t *testing.T) {
 	ls := Linspace(2, 25, 24)
 	if len(ls) != 24 || ls[0] != 2 || ls[23] != 25 {
 		t.Errorf("Linspace = %v", ls)

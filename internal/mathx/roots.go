@@ -31,110 +31,3 @@ func Bisect(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64,
 	}
 	return lo + (hi-lo)/2, true
 }
-
-// BrentRoot finds a root of f in [lo, hi] using Brent's method
-// (inverse quadratic interpolation with bisection safeguards). It
-// requires a sign change over the bracket and returns (root, true) on
-// success.
-func BrentRoot(f func(float64) float64, lo, hi, tol float64, maxIter int) (float64, bool) {
-	a, b := lo, hi
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, true
-	}
-	if fb == 0 {
-		return b, true
-	}
-	if fa*fb > 0 || math.IsNaN(fa) || math.IsNaN(fb) {
-		return 0, false
-	}
-	c, fc := a, fa
-	var d, e float64
-	d = b - a
-	e = d
-	for i := 0; i < maxIter; i++ {
-		if math.Abs(fc) < math.Abs(fb) {
-			a, b, c = b, c, b
-			fa, fb, fc = fb, fc, fb
-		}
-		tol1 := 2*math.SmallestNonzeroFloat64*math.Abs(b) + tol/2
-		xm := (c - b) / 2
-		if math.Abs(xm) <= tol1 || fb == 0 {
-			return b, true
-		}
-		if math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
-			// Attempt inverse quadratic interpolation.
-			s := fb / fa
-			var p, q float64
-			//lint:ignore floatcmp Brent's discriminator: a and c hold copied iterates, so equality is assignment-exact
-			if a == c {
-				p = 2 * xm * s
-				q = 1 - s
-			} else {
-				q = fa / fc
-				r := fb / fc
-				p = s * (2*xm*q*(q-r) - (b-a)*(r-1))
-				q = (q - 1) * (r - 1) * (s - 1)
-			}
-			if p > 0 {
-				q = -q
-			}
-			p = math.Abs(p)
-			min1 := 3*xm*q - math.Abs(tol1*q)
-			min2 := math.Abs(e * q)
-			if 2*p < math.Min(min1, min2) {
-				e = d
-				d = p / q
-			} else {
-				d = xm
-				e = d
-			}
-		} else {
-			d = xm
-			e = d
-		}
-		a, fa = b, fb
-		if math.Abs(d) > tol1 {
-			b += d
-		} else {
-			if xm >= 0 {
-				b += tol1
-			} else {
-				b -= tol1
-			}
-		}
-		fb = f(b)
-		if (fb > 0) == (fc > 0) {
-			c, fc = a, fa
-			d = b - a
-			e = d
-		}
-	}
-	return b, true
-}
-
-// Newton refines a root of f near x0 given its derivative df. It falls
-// back to returning the best iterate if convergence stalls; ok reports
-// whether |f| decreased to within tol·(1+|x|) of zero.
-func Newton(f, df func(float64) float64, x0, tol float64, maxIter int) (x float64, ok bool) {
-	x = x0
-	for i := 0; i < maxIter; i++ {
-		fx := f(x)
-		if math.Abs(fx) <= tol*(1+math.Abs(x)) {
-			return x, true
-		}
-		d := df(x)
-		if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) {
-			return x, false
-		}
-		step := fx / d
-		x -= step
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return x0, false
-		}
-		if math.Abs(step) <= tol*(1+math.Abs(x)) {
-			return x, math.Abs(f(x)) <= math.Sqrt(tol)*(1+math.Abs(x))
-		}
-	}
-	return x, math.Abs(f(x)) <= math.Sqrt(tol)*(1+math.Abs(x))
-}

@@ -22,37 +22,6 @@ func TestBisect(t *testing.T) {
 	}
 }
 
-func TestBrentRoot(t *testing.T) {
-	f := func(x float64) float64 { return math.Cos(x) - x }
-	r, ok := BrentRoot(f, 0, 1, 1e-13, 100)
-	if !ok || !approxEq(r, 0.7390851332151607, 1e-10) {
-		t.Fatalf("BrentRoot = %v ok=%v", r, ok)
-	}
-	// Polynomial with steep slope.
-	g := func(x float64) float64 { return math.Pow(x, 7) - 10 }
-	want := math.Pow(10, 1.0/7)
-	r, ok = BrentRoot(g, 0, 5, 1e-13, 200)
-	if !ok || !approxEq(r, want, 1e-8) {
-		t.Fatalf("BrentRoot x^7=10: %v ok=%v want %v", r, ok, want)
-	}
-	if _, ok := BrentRoot(f, 2, 3, 1e-13, 100); ok {
-		t.Error("BrentRoot accepted bracket without sign change")
-	}
-}
-
-func TestNewton(t *testing.T) {
-	f := func(x float64) float64 { return x*x*x - 8 }
-	df := func(x float64) float64 { return 3 * x * x }
-	r, ok := Newton(f, df, 3, 1e-13, 50)
-	if !ok || !approxEq(r, 2, 1e-10) {
-		t.Fatalf("Newton cbrt8 = %v ok=%v", r, ok)
-	}
-	// Zero derivative start: must not blow up.
-	if _, ok := Newton(f, df, 0, 1e-13, 50); ok {
-		t.Error("Newton reported ok from stationary start")
-	}
-}
-
 func TestGoldenMax(t *testing.T) {
 	f := func(x float64) float64 { return -(x - 3.25) * (x - 3.25) }
 	x := GoldenMax(f, 0, 10, 1e-9)

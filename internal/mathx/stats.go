@@ -32,20 +32,6 @@ func Median(xs []float64) float64 {
 	return (c[n/2-1] + c[n/2]) / 2
 }
 
-// StdDev returns the population standard deviation of xs, or NaN for
-// inputs with fewer than one element.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, v := range xs {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // Histogram counts xs into integer-width bins [lo, lo+1), [lo+1, lo+2),
 // …, covering [lo, hi]. Values outside the range are clamped into the
 // first or last bin. It returns one count per bin. This matches the
@@ -66,21 +52,6 @@ func Histogram(xs []float64, lo, hi int) []int {
 		bins[i]++
 	}
 	return bins
-}
-
-// ArgMax returns the index of the maximum of xs, or -1 for empty input.
-// Ties resolve to the first maximum.
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range xs {
-		if v > xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Linspace returns n evenly spaced values from lo to hi inclusive.

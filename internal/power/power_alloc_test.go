@@ -40,8 +40,9 @@ func allocConfig(depth int) pipeline.Config {
 
 // runAllocs measures the average heap allocations of one full
 // pipeline.Run over the first n instructions of ins, and the cycle
-// count of that run. The config is constructed once so its predictor,
-// BTB, and cache allocations stay out of the measurement.
+// count of that run. Each run builds its predictor, BTB and caches
+// afresh: a per-run constant that the long-minus-short subtraction
+// cancels.
 func runAllocs(t testing.TB, ins []isa.Instruction, depth, n int) (allocs float64, cycles uint64) {
 	t.Helper()
 	cfg := allocConfig(depth)
@@ -87,7 +88,7 @@ func runAllocsFast(t testing.TB, packed *trace.PackedTrace, depth, n int, rec *i
 // shorter one under the identical config: the per-run epilogue
 // (manifest stamping, fingerprint rendering) formats run-sized numbers
 // and may size a fmt buffer differently, worth O(1) allocations. Any
-// true per-cycle allocation would add thousands across the ~10k extra
+// true per-cycle allocation would add thousands across the ≥ 40k extra
 // cycles the guard simulates, so the constant still pins the
 // steady-state at zero.
 const runEpilogueSlack = 4
@@ -99,28 +100,52 @@ const runEpilogueSlack = 4
 // 10 000 cycles.
 const maxAllocsPerCycle = 1e-4
 
+// minExtraCycles is the fewest extra cycles the long run must simulate
+// over the short one for the two bounds to agree: across fewer, the
+// runEpilogueSlack epilogue allocations the total bound forgives would
+// breach maxAllocsPerCycle.
+const minExtraCycles = runEpilogueSlack / maxAllocsPerCycle
+
+// The guard's short and long runs, in instructions. allocLongRun is
+// sized so that every allocDepth simulates at least minExtraCycles
+// more cycles in the long run (the shallowest depth retires fastest:
+// depth 2 runs ≈ 0.73 cycles per instruction); checkExtraCycles fails
+// the guard if it does not.
+const (
+	allocShortRun = 1000
+	allocLongRun  = 64000
+)
+
 // allocDepths spans the shallow, reference (10) and deep ends of the
 // studied range.
 var allocDepths = []int{2, 7, 10, 18}
 
+// checkExtraCycles fails the guard when the long run adds fewer than
+// minExtraCycles cycles over the short one.
+func checkExtraCycles(t *testing.T, depth int, smallCycles, bigCycles uint64) {
+	t.Helper()
+	if bigCycles < smallCycles+minExtraCycles {
+		t.Fatalf("depth %d: long run adds %d cycles over the short one (%d → %d), want ≥ %g: lengthen allocLongRun",
+			depth, int64(bigCycles)-int64(smallCycles), smallCycles, bigCycles, float64(minExtraCycles))
+	}
+}
+
 // TestZeroAllocsPerCycle pins the steady state of the per-cycle
-// simulator loop at zero heap allocations: simulating 5000 further
-// instructions must cost no more than the epilogue slack over the
-// 1000-instruction run, so the fixed per-run setup (rob, fifos,
-// manifest) cancels out. The static twin of this guard is the
+// simulator loop at zero heap allocations: the allocLongRun run must
+// cost no more than the epilogue slack over the allocShortRun run, so
+// the fixed per-run setup (models, window, pipes, manifest) cancels
+// out. The static twin of this guard is the
 // allocfree analyzer over the //lint:hotpath bodies in
 // internal/pipeline.
 func TestZeroAllocsPerCycle(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
-	ins := materialize(t, 6000)
+	ins := materialize(t, allocLongRun)
 	for _, depth := range allocDepths {
-		small, smallCycles := runAllocs(t, ins, depth, 1000)
-		big, bigCycles := runAllocs(t, ins, depth, 6000)
-		if bigCycles <= smallCycles {
-			t.Fatalf("depth %d: degenerate cycle counts %d <= %d", depth, bigCycles, smallCycles)
-		}
+		small, smallCycles := runAllocs(t, ins, depth, allocShortRun)
+		big, bigCycles := runAllocs(t, ins, depth, allocLongRun)
+		checkExtraCycles(t, depth, smallCycles, bigCycles)
 		perCycle := (big - small) / float64(bigCycles-smallCycles)
 		t.Logf("depth %d: %.0f allocs @ %d cycles vs %.0f @ %d → %.6f allocs/cycle",
 			depth, small, smallCycles, big, bigCycles, perCycle)
@@ -141,17 +166,15 @@ func TestZeroAllocsPerCycleSkipAhead(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under the race detector")
 	}
-	packed, err := trace.Pack(materialize(t, 6000))
+	packed, err := trace.Pack(materialize(t, allocLongRun))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range []*invariant.Recorder{nil, invariant.New(nil)} {
 		for _, depth := range allocDepths {
-			small, smallCycles := runAllocsFast(t, packed, depth, 1000, rec)
-			big, bigCycles := runAllocsFast(t, packed, depth, 6000, rec)
-			if bigCycles <= smallCycles {
-				t.Fatalf("depth %d: degenerate cycle counts %d <= %d", depth, bigCycles, smallCycles)
-			}
+			small, smallCycles := runAllocsFast(t, packed, depth, allocShortRun, rec)
+			big, bigCycles := runAllocsFast(t, packed, depth, allocLongRun, rec)
+			checkExtraCycles(t, depth, smallCycles, bigCycles)
 			perCycle := (big - small) / float64(bigCycles-smallCycles)
 			t.Logf("depth %d observed=%v: %.0f allocs @ %d cycles vs %.0f @ %d → %.6f allocs/cycle",
 				depth, rec != nil, small, smallCycles, big, bigCycles, perCycle)
