@@ -187,10 +187,6 @@ func TestHierarchy(t *testing.T) {
 	if h.L2Stats().Accesses != 1 {
 		t.Errorf("L2 accesses = %d (L2 probed only on L1 miss)", h.L2Stats().Accesses)
 	}
-	h.Reset()
-	if h.L1Stats().Accesses != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestHierarchyL2Hit(t *testing.T) {

@@ -110,10 +110,9 @@ func (t ModelTraffic) since(t0 ModelTraffic) ModelTraffic {
 }
 
 // Result is the outcome of one simulation run. It is a value: Run
-// allocates it apart from the engine state, and its Config keeps the
-// machine's geometry, plan, technology and observers but none of the
-// per-run models (predictor, BTB, cache hierarchy, instruction cache),
-// so a retained Result pins no machine state. The run's identity is
+// allocates it apart from the engine state, and its Config describes
+// the models without holding them (the run's Models die with it), so
+// a retained Result pins no machine state. The run's identity is
 // Manifest.ConfigHash, the Fingerprint of the full configuration.
 type Result struct {
 	Config Config

@@ -334,8 +334,7 @@ func (s Spec) Model() power.Model {
 }
 
 // MachineFunc returns the per-depth machine builder for the spec's
-// preset and out-of-order setting; every call yields fresh predictor
-// and cache state, as core.StudyConfig requires.
+// preset and out-of-order setting.
 func (s Spec) MachineFunc() func(depth int) (pipeline.Config, error) {
 	s = s.Normalize()
 	preset, ooo := pipeline.Preset(s.Machine), s.OutOfOrder
