@@ -23,7 +23,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
+	"io"
 	"os"
 	"strconv"
 
@@ -38,46 +38,55 @@ import (
 	"repro/internal/workload"
 )
 
-// log is the process logger, replaced once -log-level/-log-format are
-// parsed (the default covers diagnostics before flag parsing).
-var log = slog.Default()
-
 func main() {
-	var (
-		name     = flag.String("workload", "si95-gcc", "catalog workload name")
-		tapePath = flag.String("tape", "", "binary trace tape file (overrides -workload)")
-		profile  = flag.String("profile", "", "JSON workload profile file (overrides -workload)")
-		depth    = flag.Int("depth", 10, "pipeline depth (decode..execute stages)")
-		n        = flag.Int("n", 30000, "instructions to simulate")
-		warm     = flag.Int("warmup", 30000, "cache/predictor warm-up instructions (generator input only)")
-		pred     = flag.String("predictor", "tournament", "branch predictor: static|bimodal|gshare|tournament")
-		ooo      = flag.Bool("ooo", false, "out-of-order execution with register renaming")
-		machine  = flag.String("machine", "zseries", "machine preset: zseries|zseries-ooo|narrow|wide")
-		sample   = flag.Uint64("power-trace", 0, "sample interval in cycles for a power-over-time trace (0 = off)")
-		units    = flag.Bool("units", false, "print the per-unit utilization table")
-		list     = flag.Bool("workloads", false, "list catalog workloads and exit")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		tracePath   = flag.String("trace", "", "write the cycle-level event trace in Chrome trace_event format to this file")
-		traceJSONL  = flag.String("trace-jsonl", "", "write the cycle-level event trace as JSON Lines to this file")
-		traceEvents = flag.Int("trace-events", 0, "event-trace ring capacity (0 = default 262144; oldest events are evicted)")
-		traceSample = flag.Uint64("trace-sample", 0, "record only every Nth cycle of the event trace (0 or 1 = every cycle)")
-		metricsOut  = flag.String("metrics-out", "", "write a JSONL metrics dump (run manifest + counters) to this file")
-		pprofAddr   = flag.String("pprof", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. localhost:6060)")
+// run is pipesim with its arguments and output streams explicit; it
+// returns the process exit code (2 for a bad flag, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pipesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		name     = fs.String("workload", "si95-gcc", "catalog workload name")
+		tapePath = fs.String("tape", "", "binary trace tape file (overrides -workload)")
+		profile  = fs.String("profile", "", "JSON workload profile file (overrides -workload)")
+		depth    = fs.Int("depth", 10, "pipeline depth (decode..execute stages)")
+		n        = fs.Int("n", 30000, "instructions to simulate")
+		warm     = fs.Int("warmup", 30000, "cache/predictor warm-up instructions (generator input only)")
+		pred     = fs.String("predictor", "tournament", "branch predictor: static|bimodal|gshare|tournament")
+		ooo      = fs.Bool("ooo", false, "out-of-order execution with register renaming")
+		machine  = fs.String("machine", "zseries", "machine preset: zseries|zseries-ooo|narrow|wide")
+		sample   = fs.Uint64("power-trace", 0, "sample interval in cycles for a power-over-time trace (0 = off)")
+		units    = fs.Bool("units", false, "print the per-unit utilization table")
+		list     = fs.Bool("workloads", false, "list catalog workloads and exit")
+
+		tracePath   = fs.String("trace", "", "write the cycle-level event trace in Chrome trace_event format to this file")
+		traceJSONL  = fs.String("trace-jsonl", "", "write the cycle-level event trace as JSON Lines to this file")
+		traceEvents = fs.Int("trace-events", 0, "event-trace ring capacity (0 = default 262144; oldest events are evicted)")
+		traceSample = fs.Uint64("trace-sample", 0, "record only every Nth cycle of the event trace (0 or 1 = every cycle)")
+		metricsOut  = fs.String("metrics-out", "", "write a JSONL metrics dump (run manifest + counters) to this file")
+		pprofAddr   = fs.String("pprof", "", "serve /debug/pprof, /debug/vars and /metrics on this address (e.g. localhost:6060)")
 	)
-	logOpts := logx.RegisterFlags(flag.CommandLine)
-	flag.Parse()
-	logger, err := logOpts.Logger(os.Stderr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pipesim:", err)
-		os.Exit(2)
+	logOpts := logx.RegisterFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	log = logger
+	log, err := logOpts.Logger(stderr)
+	if err != nil {
+		fmt.Fprintln(stderr, "pipesim:", err)
+		return 2
+	}
+	fail := func(err error) int {
+		log.Error("pipesim failed", "err", err)
+		return 1
+	}
 
 	if *list {
 		for _, p := range workload.All() {
-			fmt.Printf("%-16s %s\n", p.Name, p.Class)
+			fmt.Fprintf(stdout, "%-16s %s\n", p.Name, p.Class)
 		}
-		return
+		return 0
 	}
 
 	var reg *telemetry.Registry
@@ -88,7 +97,7 @@ func main() {
 	if *pprofAddr != "" {
 		dbg, err := telemetry.ServeDebug(*pprofAddr)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer dbg.Close()
 		dbg.Handle("/metrics", promexp.Handler(reg))
@@ -99,7 +108,7 @@ func main() {
 
 	cfg, err := machineConfig(*machine, *pred, *depth)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if *ooo {
 		cfg.OutOfOrder = true
@@ -115,7 +124,7 @@ func main() {
 	cfg.Metrics = reg
 	models, err := pipeline.NewModels(&cfg)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	var src trace.Stream
@@ -126,12 +135,12 @@ func main() {
 		// is fatal instead of a silently shorter run.
 		f, err := os.Open(*tapePath)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		packed, err := trace.ReadAllPacked(f)
 		f.Close()
 		if err != nil {
-			fatal(fmt.Errorf("tape %s: %w", *tapePath, err))
+			return fail(fmt.Errorf("tape %s: %w", *tapePath, err))
 		}
 		src = packed.Slice(0, *n)
 		wlName = "tape:" + *tapePath
@@ -140,24 +149,24 @@ func main() {
 		if *profile != "" {
 			f, err := os.Open(*profile)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			prof, err = workload.ReadProfile(f)
 			f.Close()
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 		} else {
 			var ok bool
 			prof, ok = workload.ByName(*name)
 			if !ok {
-				fatal(fmt.Errorf("unknown workload %q (use -workloads)", *name))
+				return fail(fmt.Errorf("unknown workload %q (use -workloads)", *name))
 			}
 		}
 		wlName, wlSeed = prof.Name, prof.Seed
 		gen, err := workload.NewGenerator(prof)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		// Warm the models with the leading instructions, then
 		// measure the steady-state portion.
@@ -167,27 +176,27 @@ func main() {
 
 	res, err := pipeline.RunWith(cfg, models, src)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Print(res)
+	fmt.Fprint(stdout, res)
 	if *units {
-		fmt.Print(res.UtilizationReport())
+		fmt.Fprint(stdout, res.UtilizationReport())
 	}
 
 	if ex, err := fit.Extract(res); err == nil {
-		fmt.Printf("extracted: %s\n", ex)
+		fmt.Fprintf(stdout, "extracted: %s\n", ex)
 	}
 
 	pm := power.DefaultModel()
 	if *sample > 0 {
-		fmt.Printf("\npower trace (gated), interval %d cycles:\n", *sample)
-		fmt.Printf("%10s %10s %10s %8s\n", "cycle", "total", "dynamic", "IPC")
+		fmt.Fprintf(stdout, "\npower trace (gated), interval %d cycles:\n", *sample)
+		fmt.Fprintf(stdout, "%10s %10s %10s %8s\n", "cycle", "total", "dynamic", "IPC")
 		for i, b := range pm.PowerTrace(res, true) {
 			sm := res.Samples[i]
-			fmt.Printf("%10d %10.4g %10.4g %8.2f\n",
+			fmt.Fprintf(stdout, "%10d %10.4g %10.4g %8.2f\n",
 				sm.Cycle, b.Total(), b.Dynamic, float64(sm.Retired)/float64(*sample))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	for _, gated := range []bool{true, false} {
 		b := pm.Evaluate(res, gated)
@@ -195,10 +204,10 @@ func main() {
 		if gated {
 			mode = "clock-gated"
 		}
-		fmt.Printf("power %-11s total=%.4g dynamic=%.4g leakage=%.4g (%.1f%%) latches=%.0f\n",
+		fmt.Fprintf(stdout, "power %-11s total=%.4g dynamic=%.4g leakage=%.4g (%.1f%%) latches=%.0f\n",
 			mode, b.Total(), b.Dynamic, b.Leakage, 100*b.LeakageFraction(), b.Latches)
 		bips := res.BIPS()
-		fmt.Printf("  BIPS=%.5f BIPS/W=%.4g BIPS^2/W=%.4g BIPS^3/W=%.4g\n",
+		fmt.Fprintf(stdout, "  BIPS=%.5f BIPS/W=%.4g BIPS^2/W=%.4g BIPS^3/W=%.4g\n",
 			bips, bips/b.Total(), bips*bips/b.Total(), bips*bips*bips/b.Total())
 	}
 
@@ -224,7 +233,7 @@ func main() {
 		if err := writeTo(*metricsOut, func(f *os.File) error {
 			return reg.WriteJSONL(f, &man)
 		}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		log.Info("wrote metrics", "path", *metricsOut)
 	}
@@ -232,7 +241,7 @@ func main() {
 		if err := writeTo(*tracePath, func(f *os.File) error {
 			return tracer.WriteChromeTrace(f, &man)
 		}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		log.Info("wrote Chrome trace", "events", tracer.Len(),
 			"evicted", tracer.Dropped(), "path", *tracePath)
@@ -241,10 +250,11 @@ func main() {
 		if err := writeTo(*traceJSONL, func(f *os.File) error {
 			return tracer.WriteJSONL(f, &man)
 		}); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		log.Info("wrote JSONL trace", "events", tracer.Len(), "path", *traceJSONL)
 	}
+	return 0
 }
 
 // writeTo creates path, runs fn on the file, and closes it, reporting
@@ -259,11 +269,6 @@ func writeTo(path string, fn func(*os.File) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-func fatal(err error) {
-	log.Error("pipesim failed", "err", err)
-	os.Exit(1)
 }
 
 // machineConfig builds the -machine preset at depth with the -predictor

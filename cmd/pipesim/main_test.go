@@ -56,3 +56,38 @@ func TestMachineConfigRejectsUnknownPredictor(t *testing.T) {
 		t.Fatal("unknown predictor accepted")
 	}
 }
+
+// TestStdoutGolden pins pipesim's report for the default run and three
+// flag variants (out-of-order, gshare, no warm-up), so a change to how
+// the simulator drives its models cannot silently move a printed figure.
+func TestStdoutGolden(t *testing.T) {
+	var b strings.Builder
+	for _, args := range [][]string{{}, {"-ooo"}, {"-predictor", "gshare"}, {"-warmup", "0"}} {
+		fmt.Fprintf(&b, "== pipesim %s\n", strings.Join(args, " "))
+		var stderr strings.Builder
+		if code := run(args, &b, &stderr); code != 0 {
+			t.Fatalf("pipesim %v: exit %d\n%s", args, code, stderr.String())
+		}
+	}
+	path := filepath.Join("testdata", "stdout.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create)", err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Fatalf("stdout drifted from %s:\n%s", path, got)
+	}
+}
+
+func TestBadFlagExitsTwo(t *testing.T) {
+	var out, errBuf strings.Builder
+	if code := run([]string{"-definitely-not-a-flag"}, &out, &errBuf); code != 2 {
+		t.Fatalf("exit = %d, want 2", code)
+	}
+}
