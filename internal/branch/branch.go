@@ -16,10 +16,6 @@ type Predictor interface {
 	Update(pc uint64, taken bool)
 	// Name identifies the predictor in reports.
 	Name() string
-	// Clone deep-copies the predictor, geometry and trained counters
-	// alike. The clone and the original behave identically on
-	// identical streams and share no mutable state.
-	Clone() Predictor
 }
 
 // twoBit is a saturating two-bit counter: 0,1 predict not-taken;
@@ -59,9 +55,6 @@ func (*Static) Update(uint64, bool) {}
 // Name implements Predictor.
 func (*Static) Name() string { return "static" }
 
-// Clone implements Predictor (the static predictor is stateless).
-func (*Static) Clone() Predictor { return &Static{} }
-
 // Bimodal is a classic per-PC two-bit-counter predictor.
 type Bimodal struct {
 	table []twoBit
@@ -95,13 +88,6 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 
 // Name implements Predictor.
 func (b *Bimodal) Name() string { return "bimodal" }
-
-// Clone implements Predictor.
-func (b *Bimodal) Clone() Predictor { return b.clone() }
-
-func (b *Bimodal) clone() *Bimodal {
-	return &Bimodal{table: append([]twoBit(nil), b.table...), mask: b.mask}
-}
 
 // GShare XORs a global history register with the PC to index a
 // two-bit-counter table, capturing correlated branch behaviour.
@@ -145,18 +131,6 @@ func (g *GShare) Update(pc uint64, taken bool) {
 
 // Name implements Predictor.
 func (g *GShare) Name() string { return "gshare" }
-
-// Clone implements Predictor.
-func (g *GShare) Clone() Predictor { return g.clone() }
-
-func (g *GShare) clone() *GShare {
-	return &GShare{
-		table:   append([]twoBit(nil), g.table...),
-		mask:    g.mask,
-		history: g.history,
-		histLen: g.histLen,
-	}
-}
 
 // Tournament selects per-PC between a bimodal and a gshare component
 // using a chooser table of two-bit counters (0,1 favour bimodal;
@@ -207,16 +181,6 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 
 // Name implements Predictor.
 func (t *Tournament) Name() string { return "tournament" }
-
-// Clone implements Predictor.
-func (t *Tournament) Clone() Predictor {
-	return &Tournament{
-		bimodal: t.bimodal.clone(),
-		gshare:  t.gshare.clone(),
-		chooser: append([]twoBit(nil), t.chooser...),
-		mask:    t.mask,
-	}
-}
 
 // Kind selects a predictor implementation by name.
 type Kind string

@@ -170,29 +170,6 @@ func TestNewFactory(t *testing.T) {
 	}
 }
 
-// TestClonesAreIndependent trains a clone away from its original: the
-// original must keep predicting as before, and an untouched clone must
-// match the original prediction for prediction.
-func TestClonesAreIndependent(t *testing.T) {
-	for _, p := range []Predictor{NewStatic(), NewBimodal(8), NewGShare(8), NewTournament(8)} {
-		for i := 0; i < 50; i++ {
-			p.Update(uint64(0x1000+4*(i%5)), i%3 != 0)
-		}
-		twin, diverged := p.Clone(), p.Clone()
-		for i := 0; i < 200; i++ {
-			diverged.Update(uint64(0x1000+4*(i%5)), false)
-		}
-		for i := 0; i < 100; i++ {
-			pc, taken := uint64(0x1000+4*(i%7)), i%2 == 0
-			if a, b := p.Predict(pc), twin.Predict(pc); a != b {
-				t.Fatalf("%s: clone diverged at step %d", p.Name(), i)
-			}
-			p.Update(pc, taken)
-			twin.Update(pc, taken)
-		}
-	}
-}
-
 func TestConfigFingerprints(t *testing.T) {
 	for c, want := range map[PredictorConfig]string{
 		{Kind: KindStatic, Bits: 12}:     "static",

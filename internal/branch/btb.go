@@ -8,7 +8,6 @@ import "fmt"
 // decode to compute the target, costing extra fetch bubbles even when
 // the direction prediction was correct.
 type BTB struct {
-	sets     int
 	ways     int
 	mask     uint64
 	tagShift uint
@@ -57,7 +56,6 @@ func NewBTB(entries, ways int) (*BTB, error) {
 	}
 	sets := entries / ways
 	return &BTB{
-		sets:     sets,
 		ways:     ways,
 		mask:     uint64(sets - 1),
 		tagShift: uint(trailingZeros(sets)),
@@ -66,18 +64,6 @@ func NewBTB(entries, ways int) (*BTB, error) {
 		valid:    make([]bool, entries),
 		age:      make([]uint64, entries),
 	}, nil
-}
-
-// Clone deep-copies the BTB — geometry, contents, LRU state and
-// statistics. The clone and the original behave identically on
-// identical streams and share no mutable state.
-func (b *BTB) Clone() *BTB {
-	c := *b
-	c.tags = append([]uint64(nil), b.tags...)
-	c.targets = append([]uint64(nil), b.targets...)
-	c.valid = append([]bool(nil), b.valid...)
-	c.age = append([]uint64(nil), b.age...)
-	return &c
 }
 
 // MustBTB is NewBTB for known-good geometries.
@@ -144,25 +130,6 @@ type BTBStats struct {
 
 // Stats returns a copy of the lookup/hit counters.
 func (b *BTB) Stats() BTBStats { return BTBStats{Lookups: b.lookups, Hits: b.hits} }
-
-// HitRate returns hits per lookup (0 for an idle BTB).
-func (b *BTB) HitRate() float64 {
-	if b.lookups == 0 {
-		return 0
-	}
-	return float64(b.hits) / float64(b.lookups)
-}
-
-// Reset clears contents and statistics.
-func (b *BTB) Reset() {
-	for i := range b.valid {
-		b.valid[i] = false
-		b.tags[i] = 0
-		b.targets[i] = 0
-		b.age[i] = 0
-	}
-	b.clock, b.lookups, b.hits = 0, 0, 0
-}
 
 func trailingZeros(n int) int {
 	z := 0

@@ -46,19 +46,10 @@ type Stats struct {
 	Evictions uint64
 }
 
-// MissRate returns misses per access (0 for an idle cache).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative cache with true-LRU replacement. It
 // tracks hit/miss behaviour only (no data storage).
 type Cache struct {
 	cfg       Config
-	sets      int
 	lineShift uint
 	tagShift  uint
 	setMask   uint64
@@ -78,7 +69,6 @@ func New(cfg Config) (*Cache, error) {
 	n := sets * cfg.Ways
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift:  uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
@@ -86,17 +76,6 @@ func New(cfg Config) (*Cache, error) {
 		valid:     make([]bool, n),
 		age:       make([]uint64, n),
 	}, nil
-}
-
-// Clone deep-copies the cache — geometry, contents, LRU state and
-// statistics. The clone and the original behave identically on
-// identical access streams and share no mutable state.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.tags = append([]uint64(nil), c.tags...)
-	d.valid = append([]bool(nil), c.valid...)
-	d.age = append([]uint64(nil), c.age...)
-	return &d
 }
 
 // MustNew is New for known-good configurations.
@@ -108,22 +87,8 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Stats returns a copy of the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.tags[i] = 0
-		c.age[i] = 0
-	}
-	c.clock = 0
-	c.stats = Stats{}
-}
 
 // Access looks up addr, allocating on miss (write-allocate for both
 // loads and stores), and reports whether it hit. LRU state is updated.
@@ -334,8 +299,3 @@ func (h *Hierarchy) L1Stats() Stats { return h.l1.Stats() }
 
 // L2Stats returns the L2 traffic counters.
 func (h *Hierarchy) L2Stats() Stats { return h.l2.Stats() }
-
-// Clone deep-copies the hierarchy, contents and statistics included.
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{cfg: h.cfg, l1: h.l1.Clone(), l2: h.l2.Clone()}
-}

@@ -46,9 +46,6 @@ func TestHitMissBasics(t *testing.T) {
 	if st.Accesses != 4 || st.Misses != 2 {
 		t.Errorf("stats = %+v", st)
 	}
-	if got := st.MissRate(); got != 0.5 {
-		t.Errorf("miss rate = %g", got)
-	}
 }
 
 func TestLRUReplacement(t *testing.T) {
@@ -123,18 +120,6 @@ func TestThrashingWorkingSet(t *testing.T) {
 	if st.Misses != st.Accesses {
 		t.Errorf("LRU thrash: %d misses of %d accesses, want all misses",
 			st.Misses, st.Accesses)
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := MustNew(small())
-	c.Access(0x1000)
-	c.Reset()
-	if c.Contains(0x1000) {
-		t.Error("contents survived Reset")
-	}
-	if st := c.Stats(); st.Accesses != 0 {
-		t.Error("stats survived Reset")
 	}
 }
 

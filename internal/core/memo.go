@@ -15,45 +15,65 @@ import (
 // across design points and across repeated catalog runs in one
 // process, and both are expensive enough to dominate a fast sweep:
 //
-//   - the packed instruction trace (generator replay + pack), and
-//   - the post-warm-up models (cache hierarchy, instruction cache,
-//     predictor, BTB) — the warm-up replays the same access stream into
-//     the same model descriptions regardless of pipeline depth, so its
-//     result is depth-invariant.
+//   - the packed measured trace (generator replay + pack), and
+//   - the model outcomes over it (pipeline.Outcomes): which access
+//     misses and which branch mispredicts after the warm-up. The
+//     simulator consults its models in program order at every depth,
+//     so the outcomes are depth-invariant.
 //
-// The memo caches both process-wide, keyed by the full workload
-// profile (and, for warmed models, the model descriptions and warm-up
-// length). The first point of a cell warms a pipeline.Models donor;
-// every point runs on a deep Clone of it instead of re-streaming the
-// warm-up, and sweeps reuse the packed trace instead of re-packing.
-// Every point still owns private mutable state, so results are
-// bit-identical to the unmemoized path — which the difftest engine
-// bit-identity tier checks end to end.
+// An entry holds only the measured window's packed trace — the warm-up
+// is streamed, never packed — and one outcome column per cell of model
+// descriptions. A depth point runs pipeline.RunReplayed on the shared
+// trace and its cell's column: no model is built, warmed or consulted.
+// The entry's first cell (the machine of the sweep that creates the
+// entry) warms from the generator pass that packs; a later cell, such
+// as an ablation's, regenerates the warm-up prefix. Each artifact is
+// computed once, outside the process-wide lock; concurrent callers
+// wait for it. Results are bit-identical to the unmemoized path, which
+// the difftest engine bit-identity tier checks end to end.
 //
 // The memo is bounded (FIFO eviction) and only consulted on the
 // packed-engine path; forcing pipeline.EnginePerCycle bypasses it
 // entirely.
 
-// memoMaxEntries bounds the packed-trace memo; at the conformance
-// harness's trace lengths an entry is ~1 MiB, so the bound caps the
-// memo near the size of the full 55-workload catalog.
+// memoMaxEntries bounds the memo. At the default 30k measured
+// instructions an entry is ~0.9 MiB of packed trace plus 30 KiB per
+// outcome column, so the bound holds the full 55-workload catalog.
 const memoMaxEntries = 64
 
-// donorKey identifies one warmed donor of a workload: the model
-// descriptions and the warm-up length. The rest of the machine
-// (geometry, depth, technology) never touches the models.
-type donorKey struct {
-	warmup    int
+// cellKey identifies one outcome column of an entry: the model
+// descriptions. The rest of the machine (geometry, depth, technology)
+// never touches the models.
+type cellKey struct {
 	predictor branch.PredictorConfig
 	btb       branch.BTBConfig
 	hierarchy cache.HierarchyConfig
 	icache    cache.Config
 }
 
-// memoEntry is one workload's memoized artifacts.
+func cellOf(mc *pipeline.Config) cellKey {
+	return cellKey{mc.Predictor, mc.BTB, mc.Hierarchy, mc.ICache}
+}
+
+// cell is one outcome column, computed once.
+type cell struct {
+	once sync.Once
+	out  *pipeline.Outcomes
+	err  error
+}
+
+// memoEntry is one workload's memoized artifacts for one warm-up and
+// measured length.
 type memoEntry struct {
-	packed *trace.PackedTrace
-	donors map[donorKey]*pipeline.Models
+	prof   workload.Profile
+	warmup int
+
+	once   sync.Once
+	packed *trace.PackedTrace // the measured window only
+	err    error
+
+	mu    sync.Mutex
+	cells map[cellKey]*cell // guarded by mu
 }
 
 var sweepMemo = struct {
@@ -62,53 +82,95 @@ var sweepMemo = struct {
 	order   []string
 }{entries: map[string]*memoEntry{}}
 
-// packedFor returns the memoized packed trace of the profile's first
-// total instructions, packing (and caching) it on first use.
-func packedFor(prof workload.Profile, total int) (*memoEntry, error) {
-	key := fmt.Sprintf("%d|%+v", total, prof)
-	sweepMemo.Lock()
-	defer sweepMemo.Unlock()
-	if e, ok := sweepMemo.entries[key]; ok {
-		return e, nil
-	}
-	gen, err := workload.NewGenerator(prof)
-	if err != nil {
-		return nil, err
-	}
-	packed, err := trace.PackStream(gen, total)
-	if err != nil {
-		return nil, err
-	}
-	e := &memoEntry{packed: packed, donors: map[donorKey]*pipeline.Models{}}
-	if len(sweepMemo.order) >= memoMaxEntries {
-		delete(sweepMemo.entries, sweepMemo.order[0])
-		sweepMemo.order = sweepMemo.order[1:]
-	}
-	sweepMemo.entries[key] = e
-	sweepMemo.order = append(sweepMemo.order, key)
-	return e, nil
+func memoKey(prof workload.Profile, warmup, n int) string {
+	return fmt.Sprintf("%d|%d|%+v", warmup, n, prof)
 }
 
-// warmModels returns models for mc primed with the first warmup
-// instructions of the packed trace, cloned from the cell's donor: the
-// first point of a (model descriptions, warm-up) cell builds and warms
-// the donor, every point runs on a clone. Without a warm-up the models
-// are built cold and nothing is memoized.
-func (e *memoEntry) warmModels(mc *pipeline.Config, warmup int) (*pipeline.Models, error) {
-	if warmup == 0 {
-		return pipeline.NewModels(mc)
-	}
-	key := donorKey{warmup, mc.Predictor, mc.BTB, mc.Hierarchy, mc.ICache}
+// packedFor returns the memo entry of the profile's measured window
+// under cfg's warm-up and length, packing it on first use.
+func packedFor(cfg StudyConfig, prof workload.Profile) (*memoEntry, error) {
+	key := memoKey(prof, cfg.Warmup, cfg.Instructions)
 	sweepMemo.Lock()
-	defer sweepMemo.Unlock()
-	d, ok := e.donors[key]
+	e, ok := sweepMemo.entries[key]
 	if !ok {
-		var err error
-		if d, err = pipeline.NewModels(mc); err != nil {
-			return nil, err
+		e = &memoEntry{prof: prof, warmup: cfg.Warmup, cells: map[cellKey]*cell{}}
+		if len(sweepMemo.order) >= memoMaxEntries {
+			delete(sweepMemo.entries, sweepMemo.order[0])
+			sweepMemo.order = sweepMemo.order[1:]
 		}
-		d.Warm(e.packed.Slice(0, warmup), warmup)
-		e.donors[key] = d
+		sweepMemo.entries[key] = e
+		sweepMemo.order = append(sweepMemo.order, key)
 	}
-	return d.Clone(), nil
+	sweepMemo.Unlock()
+	e.once.Do(func() { e.err = e.pack(cfg) })
+	return e, e.err
+}
+
+// pack streams the warm-up and packs the measured window in one
+// generator pass. The models of the sweep's first machine warm on the
+// way and replay into the entry's first cell; a machine that fails to
+// build fails its points instead.
+func (e *memoEntry) pack(cfg StudyConfig) error {
+	gen, err := workload.NewGenerator(e.prof)
+	if err != nil {
+		return err
+	}
+	var (
+		first *pipeline.Models
+		key   cellKey
+	)
+	if len(cfg.Depths) > 0 {
+		if mc, err := cfg.Machine(cfg.Depths[0]); err == nil {
+			key = cellOf(&mc)
+			first, _ = pipeline.NewModels(&mc)
+		}
+	}
+	if first != nil {
+		first.Warm(gen, e.warmup)
+	} else {
+		for range e.warmup {
+			gen.Next()
+		}
+	}
+	if e.packed, err = trace.PackStream(gen, cfg.Instructions); err != nil {
+		return err
+	}
+	if first != nil {
+		c := &cell{}
+		c.once.Do(func() { c.out = first.Replay(e.packed.Stream()) })
+		e.mu.Lock()
+		e.cells[key] = c
+		e.mu.Unlock()
+	}
+	return nil
+}
+
+// outcomes returns the entry's outcome column for mc's model
+// descriptions, replaying it on first use.
+func (e *memoEntry) outcomes(mc *pipeline.Config) (*pipeline.Outcomes, error) {
+	key := cellOf(mc)
+	e.mu.Lock()
+	c, ok := e.cells[key]
+	if !ok {
+		c = &cell{}
+		e.cells[key] = c
+	}
+	e.mu.Unlock()
+	c.once.Do(func() { c.out, c.err = e.replay(mc) })
+	return c.out, c.err
+}
+
+// replay builds mc's models, warms them on a regenerated warm-up
+// prefix and replays the measured window into them.
+func (e *memoEntry) replay(mc *pipeline.Config) (*pipeline.Outcomes, error) {
+	m, err := pipeline.NewModels(mc)
+	if err != nil {
+		return nil, err
+	}
+	gen, err := workload.NewGenerator(e.prof)
+	if err != nil {
+		return nil, err
+	}
+	m.Warm(gen, e.warmup)
+	return m.Replay(e.packed.Stream()), nil
 }

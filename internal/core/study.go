@@ -57,14 +57,14 @@ type StudyConfig struct {
 	// pipeline.DefaultConfig if nil.
 	Machine func(depth int) (pipeline.Config, error)
 	// Engine selects skip-ahead for every simulated point. The default
-	// (pipeline.EngineAuto) decodes each workload trace into packed
-	// form once per sweep (through the process-wide memo) and simulates
-	// every depth from packed slices with stall-span skip-ahead;
-	// pipeline.EnginePerCycle runs each point with skip-ahead off on a
-	// fresh generator stream, bypassing the memo, so the differential
-	// tiers check the memo too. The settings are bit-identical by
-	// contract, so the knob never changes results or result-cache keys
-	// — only throughput.
+	// (pipeline.EngineAuto) takes each workload's packed measured trace
+	// and its model outcomes from the process-wide memo, built once per
+	// sweep, and simulates every depth on them with stall-span
+	// skip-ahead; pipeline.EnginePerCycle runs each point with
+	// skip-ahead off on models warmed from a fresh generator stream,
+	// bypassing the memo, so the differential tiers check the memo too.
+	// The settings are bit-identical by contract, so the knob never
+	// changes results or result-cache keys — only throughput.
 	Engine pipeline.EngineKind
 	// Parallelism bounds concurrent workload sweeps in RunCatalog;
 	// runtime.NumCPU() if 0.
@@ -266,14 +266,15 @@ func RunSweep(cfg StudyConfig, prof workload.Profile) (*Sweep, error) {
 	// Pack the workload trace once per sweep: every depth replays the
 	// identical instruction stream, so the decode work (generator
 	// replay, operand/dependency resolution) amortizes across the whole
-	// sweep instead of repeating per design point. The packed trace is
-	// immutable once built, shared read-only by the depth workers, and
-	// memoized process-wide so repeated catalog runs skip the pack too.
+	// sweep instead of repeating per design point. The packed trace and
+	// its model outcomes are immutable once built, shared read-only by
+	// the depth workers, and memoized process-wide so repeated catalog
+	// runs skip them too.
 	var ent *memoEntry
 	if cfg.Engine != pipeline.EnginePerCycle {
 		psp := wsp.Child("pack",
 			span.Int("instructions", cfg.Warmup+cfg.Instructions))
-		e, err := packedFor(prof, cfg.Warmup+cfg.Instructions)
+		e, err := packedFor(cfg, prof)
 		psp.End()
 		if err != nil {
 			return nil, err
@@ -308,11 +309,12 @@ func RunSweep(cfg StudyConfig, prof workload.Profile) (*Sweep, error) {
 }
 
 // runPoint simulates one design point with fresh machine state,
-// consulting the result cache first when one is configured. The
-// instruction stream comes from the sweep-shared packed trace when one
-// was built (cursors are per-point, the columns are shared read-only),
-// otherwise from a fresh generator. The second return reports whether
-// the point was served from the cache.
+// consulting the result cache first when one is configured. With a
+// memo entry the point runs on its shared packed trace and the model
+// outcomes of its cell (cursors are per-point, the columns are shared
+// read-only); otherwise it warms fresh models on a fresh generator.
+// The second return reports whether the point was served from the
+// cache.
 func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry) (DepthPoint, bool, error) {
 	psp := cfg.startSpan("point",
 		span.String("workload", prof.Name), span.Int("depth", depth))
@@ -345,36 +347,7 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 		}
 	}
 	mc.Engine = cfg.Engine
-	var (
-		models *pipeline.Models
-		src    trace.Stream
-	)
-	if ent != nil {
-		wsp := warmupSpan(psp, cfg.Warmup)
-		models, err = ent.warmModels(&mc, cfg.Warmup)
-		wsp.End()
-		if err != nil {
-			return DepthPoint{}, false, err
-		}
-		src = ent.packed.Slice(cfg.Warmup, cfg.Warmup+cfg.Instructions)
-	} else {
-		dsp := psp.Child("decode")
-		gen, err := workload.NewGenerator(prof)
-		dsp.End()
-		if err != nil {
-			return DepthPoint{}, false, err
-		}
-		if models, err = pipeline.NewModels(&mc); err != nil {
-			return DepthPoint{}, false, err
-		}
-		wsp := warmupSpan(psp, cfg.Warmup)
-		models.Warm(gen, cfg.Warmup)
-		wsp.End()
-		src = trace.NewLimitStream(gen, cfg.Instructions)
-	}
-	ssp := psp.Child("simulate", span.Int("instructions", cfg.Instructions))
-	res, err := pipeline.RunWith(mc, models, src)
-	ssp.End()
+	res, err := simulatePoint(cfg, prof, mc, ent, psp)
 	if err != nil {
 		return DepthPoint{}, false, err
 	}
@@ -401,6 +374,39 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 		csp.End()
 	}
 	return pt, false, nil
+}
+
+// simulatePoint runs one uncached design point: on the memo entry's
+// shared trace and its cell's model outcomes, or, without an entry, on
+// models warmed from a fresh generator.
+func simulatePoint(cfg StudyConfig, prof workload.Profile, mc pipeline.Config, ent *memoEntry, psp *span.Span) (*pipeline.Result, error) {
+	if ent != nil {
+		wsp := warmupSpan(psp, cfg.Warmup)
+		out, err := ent.outcomes(&mc)
+		wsp.End()
+		if err != nil {
+			return nil, err
+		}
+		ssp := psp.Child("simulate", span.Int("instructions", cfg.Instructions))
+		defer ssp.End()
+		return pipeline.RunReplayed(mc, out, ent.packed.Stream())
+	}
+	dsp := psp.Child("decode")
+	gen, err := workload.NewGenerator(prof)
+	dsp.End()
+	if err != nil {
+		return nil, err
+	}
+	models, err := pipeline.NewModels(&mc)
+	if err != nil {
+		return nil, err
+	}
+	wsp := warmupSpan(psp, cfg.Warmup)
+	models.Warm(gen, cfg.Warmup)
+	wsp.End()
+	ssp := psp.Child("simulate", span.Int("instructions", cfg.Instructions))
+	defer ssp.End()
+	return pipeline.RunWith(mc, models, trace.NewLimitStream(gen, cfg.Instructions))
 }
 
 // warmupSpan opens a point's warm-up phase span: nil, a no-op, when

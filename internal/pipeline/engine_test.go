@@ -109,7 +109,9 @@ func TestEngineSkipAheadActuallySkips(t *testing.T) {
 }
 
 // benchEngine runs the benchmark workload, the SPECInt representative
-// (a realistic stall mix), on the given engine. With observed set, an
+// (a realistic stall mix), on the given engine. Every iteration of
+// every setting runs the same packed trace on cold models, so the
+// engine pair differs in skip-ahead alone. With observed set, an
 // invariant recorder is attached to every run.
 func benchEngine(b *testing.B, engine EngineKind, observed bool, depth, n int) {
 	prof := workload.Representative(workload.SPECInt)
@@ -126,14 +128,7 @@ func benchEngine(b *testing.B, engine EngineKind, observed bool, depth, n int) {
 		cfg := MustDefaultConfig(depth)
 		cfg.Engine = engine
 		cfg.Invariants = rec
-		var src trace.Stream
-		if engine == EnginePerCycle {
-			src = trace.NewLimitStream(workload.MustGenerator(prof), n)
-		} else {
-			ps := packed.Stream()
-			src = ps
-		}
-		if _, err := Run(cfg, src); err != nil {
+		if _, err := Run(cfg, packed.Stream()); err != nil {
 			b.Fatalf("run: %v", err)
 		}
 	}

@@ -145,7 +145,7 @@ func TestPlantedBreachSameOnEveryEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := newSim(cfg, m, ps)
+				s := newSim(cfg, m.Replay(ps), ps)
 				plant(s)
 				r, err := s.run(time.Now())
 				if err != nil {

@@ -75,8 +75,8 @@ func (c *Config) Fingerprint() string {
 		pred, btb, hier, icache,
 		// The constant "keep:false" keeps existing result-cache keys
 		// stable. A Config carries no warm state: warmed models reach a
-		// run through RunWith, and the warm-up length is a key field of
-		// its own.
+		// run through RunWith or their replayed Outcomes (RunReplayed),
+		// and the warm-up length is a key field of its own.
 		fmt.Sprintf("btbmiss:%d nonblock:%t redirect:%t wrongpath:%t keep:false",
 			c.BTBMissBubbles, c.NonBlockingCache, c.RedirectBubble,
 			c.WrongPathActivity),

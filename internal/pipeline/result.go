@@ -87,10 +87,10 @@ type ActivitySample struct {
 }
 
 // ModelTraffic is the attached models' demand traffic over a run's
-// measured window: warm-up traffic, including the statistics a warmed
-// donor clone inherits, is excluded. It holds plain values, so a
-// Result keeps none of the models themselves. It is not part of
-// ResultData: a Result restored from the result cache reports none.
+// measured window, as Models.Replay recorded it: warm-up traffic is
+// excluded. It holds plain values, so a Result keeps none of the
+// models themselves. It is not part of ResultData: a Result restored
+// from the result cache reports none.
 type ModelTraffic struct {
 	HasHierarchy bool        // a data-cache hierarchy was attached
 	L1, L2       cache.Stats // per-level accesses, misses and evictions
@@ -111,7 +111,7 @@ func (t ModelTraffic) since(t0 ModelTraffic) ModelTraffic {
 
 // Result is the outcome of one simulation run. It is a value: Run
 // allocates it apart from the engine state, and its Config describes
-// the models without holding them (the run's Models die with it), so
+// the models without holding them (nor their Outcomes), so
 // a retained Result pins no machine state. The run's identity is
 // Manifest.ConfigHash, the Fingerprint of the full configuration.
 type Result struct {

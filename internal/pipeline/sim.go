@@ -43,10 +43,11 @@ var (
 // stage reads the packed trace columns fc by sequence number. The
 // Result res is allocated apart and points back at nothing here, so a
 // returned Result never keeps the engine — its window, pipes or the
-// models — alive.
+// model outcomes — alive. The engine touches no live model: it reads
+// what the models did from the replayed outcome column.
 type sim struct {
 	cfg  Config
-	m    *Models
+	out  *Outcomes
 	res  *Result
 	psrc *trace.PackedStream
 	fc   trace.Columns
@@ -82,7 +83,6 @@ type sim struct {
 
 	cycle           uint64
 	iBusyUntil      uint64 // instruction-cache miss in progress
-	lastFetchLine   uint64
 	pendingBranch   uint64 // seq of unresolved mispredicted branch
 	havePending     bool
 	redirectHoldTo  uint64
@@ -121,10 +121,6 @@ type sim struct {
 	// stall cycle, for closed-form replication.
 	skip       bool
 	lastBucket CycleBucket
-
-	// traffic0 is the models' traffic at the start of the measured
-	// window; the Result reports the difference at its end.
-	traffic0 ModelTraffic
 }
 
 // Run simulates the stream to completion on the configured machine,
@@ -141,9 +137,10 @@ func Run(cfg Config, src trace.Stream) (*Result, error) {
 }
 
 // RunWith is Run on the given models in their current — typically
-// warmed — state; their warm-up traffic is excluded from the Result.
-// The models must have been built from cfg's descriptions, and the run
-// trains them further: pass a Clone to keep the state for another run.
+// warmed — state: it packs the stream, replays it into the models
+// (training them further) and simulates on the outcomes, so warm-up
+// traffic is excluded from the Result. The models must have been built
+// from cfg's descriptions.
 func RunWith(cfg Config, m *Models, src trace.Stream) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -151,13 +148,27 @@ func RunWith(cfg Config, m *Models, src trace.Stream) (*Result, error) {
 	if m.spec != cfg.modelSpec() {
 		return nil, errModelMismatch
 	}
-	//lint:ignore detrange wall-clock manifest bookkeeping; never feeds a simulated figure
-	start := time.Now()
 	ps, err := packInput(src)
 	if err != nil {
 		return nil, err
 	}
-	return newSim(cfg, m, ps).run(start)
+	return RunReplayed(cfg, m.Replay(ps), ps)
+}
+
+// RunReplayed simulates the packed stream on outcomes that Replay
+// recorded over exactly the stream's remaining window, with models
+// built from cfg's descriptions; any other outcomes are refused. It
+// touches no model, so one Outcomes value serves a run at every depth.
+func RunReplayed(cfg Config, o *Outcomes, src *trace.PackedStream) (*Result, error) {
+	//lint:ignore detrange wall-clock manifest bookkeeping; never feeds a simulated figure
+	start := time.Now()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if t, lo, hi := src.Trace(); o.spec != cfg.modelSpec() || o.trace != t || o.lo != lo || o.hi != hi {
+		return nil, errModelMismatch
+	}
+	return newSim(cfg, o, src).run(start)
 }
 
 // packInput returns src as a packed cursor, draining any stream that is
@@ -186,12 +197,12 @@ func packInput(src trace.Stream) (*trace.PackedStream, error) {
 }
 
 // newSim builds the engine state for one run of a validated config on
-// its models.
-func newSim(cfg Config, m *Models, src *trace.PackedStream) *sim {
+// its models' outcomes.
+func newSim(cfg Config, o *Outcomes, src *trace.PackedStream) *sim {
 	t, pos, _ := src.Trace()
 	s := &sim{
 		cfg:         cfg,
-		m:           m,
+		out:         o,
 		psrc:        src,
 		fc:          t.Columns(pos),
 		w:           makeWindow(cfg.WindowCap),
@@ -215,10 +226,7 @@ func newSim(cfg Config, m *Models, src *trace.PackedStream) *sim {
 	if cfg.OutOfOrder {
 		s.pending = make([]uint64, 0, cfg.WindowCap)
 	}
-	s.res = &Result{Config: cfg, IssueHist: make([]uint64, cfg.Width+1)}
-	// Warmed models (a donor clone included) carry their warm-up
-	// traffic; the measured window starts here.
-	s.traffic0 = m.traffic()
+	s.res = &Result{Config: cfg, IssueHist: make([]uint64, cfg.Width+1), Traffic: o.traffic}
 	return s
 }
 
@@ -233,7 +241,6 @@ func (s *sim) run(start time.Time) (*Result, error) {
 		return nil, fmt.Errorf("%w at cycle %d", err, s.cycle)
 	}
 	s.res.Cycles = s.cycle
-	s.res.Traffic = s.m.traffic().since(s.traffic0)
 	if s.inv != nil {
 		s.checkRunInvariants()
 	}
@@ -272,9 +279,7 @@ func (s *sim) loop() error {
 		cls   = s.fc.Class
 		flg   = s.fc.Flags
 		base  = s.fc.Base
-		pcs   = s.fc.PC
-		addrs = s.fc.Addr
-		tgts  = s.fc.Target
+		outc  = s.out.col
 		total = uint64(hi - lo)
 
 		width    = s.cfg.Width
@@ -285,10 +290,6 @@ func (s *sim) loop() error {
 		decT     = s.decTransit
 		agenT    = s.agenTransit
 		cacheT   = s.cacheT
-		hier     = s.m.hierarchy
-		icache   = s.m.icache
-		pred     = s.m.predictor
-		btb      = s.m.btb
 		nonBlock = s.cfg.NonBlockingCache
 		redirect = s.cfg.RedirectBubble
 		btbBub   = uint64(s.cfg.BTBMissBubbles)
@@ -302,15 +303,11 @@ func (s *sim) loop() error {
 		sampleIv = s.cfg.SampleInterval
 
 		// FO4→cycle conversions are pure functions of the configuration;
-		// precompute the three latencies Access/ICache can report.
+		// precompute the three latencies an outcome can charge.
 		iMissCycles = s.cfg.LatencyCycles(s.cfg.ICacheMissFO4)
-		l2Cycles    uint64
-		memCycles   uint64
+		l2Cycles    = s.cfg.LatencyCycles(s.cfg.Hierarchy.L2LatencyFO4)
+		memCycles   = s.cfg.LatencyCycles(s.cfg.Hierarchy.MemLatencyFO4)
 	)
-	if hier != nil {
-		l2Cycles = s.cfg.LatencyCycles(s.cfg.Hierarchy.L2LatencyFO4)
-		memCycles = s.cfg.LatencyCycles(s.cfg.Hierarchy.MemLatencyFO4)
-	}
 
 	for !s.traceDone || s.retired != s.next {
 		s.cycle++
@@ -474,10 +471,7 @@ func (s *sim) loop() error {
 				moved = true
 				res.UnitOps[UnitCache]++
 
-				level := cache.L1
-				if hier != nil {
-					level, _ = hier.Access(addrs[seq])
-				}
+				level := cache.Level(outc[seq] & outLevel)
 				extra := uint64(0)
 				if level != cache.L1 {
 					res.L1Misses++
@@ -619,8 +613,8 @@ func (s *sim) loop() error {
 			}
 		}
 
-		// Fetch, consulting the branch predictor and freezing on
-		// mispredictions: the machine does not fetch down the wrong
+		// Fetch, reading each branch's replayed prediction and freezing
+		// on mispredictions: the machine does not fetch down the wrong
 		// path, and the freeze lasts until the branch resolves, which
 		// reproduces the misprediction penalty exactly.
 		if !s.havePending && !s.traceDone && cyc >= s.redirectHoldTo && cyc >= s.iBusyUntil {
@@ -638,15 +632,9 @@ func (s *sim) loop() error {
 				}
 				// Instruction-cache model: a new code line must be
 				// resident; a miss stalls fetch for the configured time.
-				if icache != nil {
-					line := pcs[seq] &^ 63
-					if line != s.lastFetchLine {
-						s.lastFetchLine = line
-						if !icache.Access(pcs[seq]) {
-							res.ICacheMisses++
-							s.iBusyUntil = cyc + iMissCycles
-						}
-					}
+				if outc[seq]&outICacheMiss != 0 {
+					res.ICacheMisses++
+					s.iBusyUntil = cyc + iMissCycles
 				}
 				i := w.idx(seq)
 				s.next++
@@ -669,12 +657,7 @@ func (s *sim) loop() error {
 					if taken {
 						res.TakenBranches++
 					}
-					predicted := taken
-					if pred != nil {
-						predicted = pred.Predict(pcs[seq])
-						pred.Update(pcs[seq], taken)
-					}
-					if predicted == taken {
+					if outc[seq]&outMispredict == 0 {
 						res.PredictorCorrect++
 						if taken {
 							// Correctly predicted taken branch: an optional
@@ -684,12 +667,9 @@ func (s *sim) loop() error {
 							if redirect {
 								hold = 1
 							}
-							if btb != nil {
-								if _, hit := btb.Lookup(pcs[seq]); !hit {
-									res.BTBMisses++
-									hold += btbBub
-								}
-								btb.Update(pcs[seq], tgts[seq])
+							if outc[seq]&outBTBMiss != 0 {
+								res.BTBMisses++
+								hold += btbBub
 							}
 							if hold > 0 {
 								s.redirectHoldTo = cyc + 1 + hold

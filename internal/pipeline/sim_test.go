@@ -378,7 +378,8 @@ func TestWatchdogFiresOnPlantedDeadlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := newSim(cfg, m, packed.Stream())
+		ps := packed.Stream()
+		s := newSim(cfg, m.Replay(ps), ps)
 		s.inExecQ = cfg.ExecQCap
 		_, err = s.run(time.Now())
 		if !errors.Is(err, ErrNoProgress) {
