@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -73,36 +72,6 @@ func writeSummaries(path string, opt experiments.Options, stdout io.Writer) erro
 	}
 	fmt.Fprintf(stdout, "wrote %d workload summaries to %s\n", len(sums), path)
 	return nil
-}
-
-// openCache opens the result cache named by the CLI flags; a nil
-// cache (empty dir) disables memoization entirely.
-func openCache(dir string, readonly, clear bool, reg *telemetry.Registry) (*resultcache.Cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	c, err := resultcache.Open(resultcache.Options{Dir: dir, ReadOnly: readonly, Metrics: reg})
-	if err != nil {
-		return nil, err
-	}
-	if clear {
-		if err := c.Clear(); err != nil {
-			return nil, fmt.Errorf("clear cache: %w", err)
-		}
-	}
-	return c, nil
-}
-
-// cacheSummary reports cache effectiveness for the run.
-func cacheSummary(log *slog.Logger, c *resultcache.Cache) {
-	if c == nil {
-		return
-	}
-	st := c.Stats()
-	log.Info("cache summary",
-		"hits", st.Hits, "misses", st.Misses,
-		"hit_rate", fmt.Sprintf("%.0f%%", 100*st.HitRate()),
-		"stored", st.Stores)
 }
 
 // progressPublisher maps core progress callbacks onto the SSE broker
@@ -243,7 +212,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			"dash", "http://"+dbg.Addr()+"/dash")
 	}
 
-	cache, err := openCache(*cacheDir, *cacheRO, *cacheClear, reg)
+	cache, err := resultcache.OpenDir(*cacheDir, *cacheRO, *cacheClear, reg)
 	if err != nil {
 		log.Error("cache open failed", "err", err)
 		return 1
@@ -266,7 +235,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			log.Error("summary failed", "err", err)
 			return 1
 		}
-		cacheSummary(log, cache)
+		cache.LogSummary(log)
 		return 0
 	}
 
@@ -294,7 +263,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "wrote %d experiment reports to %s (%d failed)\n",
 			len(results), *md, bad)
-		cacheSummary(log, cache)
+		cache.LogSummary(log)
 		if bad > 0 {
 			return 1
 		}
@@ -380,6 +349,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		log.Info("wrote metrics", "path", *metricsOut)
 	}
-	cacheSummary(log, cache)
+	cache.LogSummary(log)
 	return exit
 }

@@ -33,7 +33,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -54,36 +53,6 @@ import (
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// openCache opens the result cache named by the CLI flags; a nil
-// cache (empty dir) disables memoization entirely.
-func openCache(dir string, readonly, clear bool, reg *telemetry.Registry) (*resultcache.Cache, error) {
-	if dir == "" {
-		return nil, nil
-	}
-	c, err := resultcache.Open(resultcache.Options{Dir: dir, ReadOnly: readonly, Metrics: reg})
-	if err != nil {
-		return nil, err
-	}
-	if clear {
-		if err := c.Clear(); err != nil {
-			return nil, fmt.Errorf("clear cache: %w", err)
-		}
-	}
-	return c, nil
-}
-
-// cacheSummary reports cache effectiveness for the run.
-func cacheSummary(log *slog.Logger, c *resultcache.Cache) {
-	if c == nil {
-		return
-	}
-	st := c.Stats()
-	log.Info("cache summary",
-		"hits", st.Hits, "misses", st.Misses,
-		"hit_rate", fmt.Sprintf("%.0f%%", 100*st.HitRate()),
-		"stored", st.Stores)
 }
 
 // dashUnits renders one point's clock-gated per-unit attribution for
@@ -210,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracer = pipeline.NewTracer(0)
 	}
 
-	cache, err := openCache(*cacheDir, *cacheRO, *cacheClear, reg)
+	cache, err := resultcache.OpenDir(*cacheDir, *cacheRO, *cacheClear, reg)
 	if err != nil {
 		return fail(err)
 	}
@@ -398,7 +367,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		log.Info("wrote Chrome trace", "depth", *traceDepth,
 			"events", tracer.Len(), "evicted", tracer.Dropped(), "path", *tracePath)
 	}
-	cacheSummary(log, cache)
+	cache.LogSummary(log)
 	if fitErrors > 0 {
 		log.Warn("run summary", "fit_errors", fitErrors, "points", len(s.Points))
 	} else {

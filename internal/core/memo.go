@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/branch"
-	"repro/internal/cache"
 	"repro/internal/pipeline"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -22,9 +20,10 @@ import (
 //     so the outcomes are depth-invariant.
 //
 // An entry holds only the measured window's packed trace — the warm-up
-// is streamed, never packed — and one outcome column per cell of model
-// descriptions. A depth point runs pipeline.RunReplayed on the shared
-// trace and its cell's column: no model is built, warmed or consulted.
+// is streamed, never packed — and one outcome column per cell, keyed by
+// the machine's model descriptions (pipeline.ModelSpec). A depth point
+// runs pipeline.RunReplayed on the shared trace and its cell's column:
+// no model is built, warmed or consulted.
 // The entry's first cell (the machine of the sweep that creates the
 // entry) warms from the generator pass that packs; a later cell, such
 // as an ablation's, regenerates the warm-up prefix. Each artifact is
@@ -40,20 +39,6 @@ import (
 // instructions an entry is ~0.9 MiB of packed trace plus 30 KiB per
 // outcome column, so the bound holds the full 55-workload catalog.
 const memoMaxEntries = 64
-
-// cellKey identifies one outcome column of an entry: the model
-// descriptions. The rest of the machine (geometry, depth, technology)
-// never touches the models.
-type cellKey struct {
-	predictor branch.PredictorConfig
-	btb       branch.BTBConfig
-	hierarchy cache.HierarchyConfig
-	icache    cache.Config
-}
-
-func cellOf(mc *pipeline.Config) cellKey {
-	return cellKey{mc.Predictor, mc.BTB, mc.Hierarchy, mc.ICache}
-}
 
 // cell is one outcome column, computed once.
 type cell struct {
@@ -73,7 +58,7 @@ type memoEntry struct {
 	err    error
 
 	mu    sync.Mutex
-	cells map[cellKey]*cell // guarded by mu
+	cells map[pipeline.ModelSpec]*cell // guarded by mu
 }
 
 var sweepMemo = struct {
@@ -93,7 +78,7 @@ func packedFor(cfg StudyConfig, prof workload.Profile) (*memoEntry, error) {
 	sweepMemo.Lock()
 	e, ok := sweepMemo.entries[key]
 	if !ok {
-		e = &memoEntry{prof: prof, warmup: cfg.Warmup, cells: map[cellKey]*cell{}}
+		e = &memoEntry{prof: prof, warmup: cfg.Warmup, cells: map[pipeline.ModelSpec]*cell{}}
 		if len(sweepMemo.order) >= memoMaxEntries {
 			delete(sweepMemo.entries, sweepMemo.order[0])
 			sweepMemo.order = sweepMemo.order[1:]
@@ -117,11 +102,11 @@ func (e *memoEntry) pack(cfg StudyConfig) error {
 	}
 	var (
 		first *pipeline.Models
-		key   cellKey
+		key   pipeline.ModelSpec
 	)
 	if len(cfg.Depths) > 0 {
 		if mc, err := cfg.Machine(cfg.Depths[0]); err == nil {
-			key = cellOf(&mc)
+			key = mc.ModelSpec()
 			first, _ = pipeline.NewModels(&mc)
 		}
 	}
@@ -148,7 +133,7 @@ func (e *memoEntry) pack(cfg StudyConfig) error {
 // outcomes returns the entry's outcome column for mc's model
 // descriptions, replaying it on first use.
 func (e *memoEntry) outcomes(mc *pipeline.Config) (*pipeline.Outcomes, error) {
-	key := cellOf(mc)
+	key := mc.ModelSpec()
 	e.mu.Lock()
 	c, ok := e.cells[key]
 	if !ok {

@@ -18,8 +18,7 @@ func syntheticPoint(depth int, instructions, cycles uint64, gatedW, plainW float
 			TP: 55, TO: 3,
 			Plan: pipeline.DepthPlan{Depth: depth},
 		},
-		Instructions: instructions,
-		Cycles:       cycles,
+		ResultData: pipeline.ResultData{Instructions: instructions, Cycles: cycles},
 	}
 	return DepthPoint{
 		Depth:      depth,

@@ -178,15 +178,23 @@ func TestMemoKeepsMeasuredTraceAndOutcomes(t *testing.T) {
 	if len(e.cells) != 2 {
 		t.Errorf("entry holds %d outcome columns, want 2 (default and narrow)", len(e.cells))
 	}
-	for k, c := range e.cells {
-		// A cell's outcomes must cover exactly the entry's packed window.
-		mc := pipeline.MustDefaultConfig(10)
-		mc.Predictor, mc.BTB, mc.Hierarchy, mc.ICache = k.predictor, k.btb, k.hierarchy, k.icache
+	narrow, err := pipeline.PresetConfig(pipeline.PresetNarrow, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, mc := range map[string]pipeline.Config{"default": pipeline.MustDefaultConfig(10), "narrow": narrow} {
+		// Each machine's column is found by its model descriptions and
+		// covers exactly the entry's packed window.
+		c := e.cells[mc.ModelSpec()]
+		if c == nil {
+			t.Errorf("%s: no outcome column under its model descriptions", name)
+			continue
+		}
 		if c.err != nil {
-			t.Fatalf("cell %+v: %v", k.predictor, c.err)
+			t.Fatalf("%s: %v", name, c.err)
 		}
 		if r, err := pipeline.RunReplayed(mc, c.out, e.packed.Stream()); err != nil || r.Instructions != 4000 {
-			t.Errorf("cell %+v: run on its outcomes: %v", k.predictor, err)
+			t.Errorf("%s: run on its outcomes: %v", name, err)
 		}
 	}
 	if path := reaches(reflect.TypeOf(memoEntry{}), reflect.TypeOf(pipeline.Models{}), map[reflect.Type]bool{}); path != "" {

@@ -18,7 +18,7 @@ import (
 // live model: Replay drives the models through the measured window
 // first, and the simulator reads the recorded Outcomes.
 type Models struct {
-	spec modelSpec // the descriptions the models were built from
+	spec ModelSpec // the descriptions the models were built from
 
 	predictor branch.Predictor
 	btb       *branch.BTB
@@ -26,16 +26,20 @@ type Models struct {
 	icache    *cache.Cache
 }
 
-// modelSpec is a Config's model descriptions.
-type modelSpec struct {
+// ModelSpec is a Config's model descriptions: the part of a machine
+// that decides its model outcomes. It is comparable, so it keys a set
+// of outcomes; the rest of the machine (geometry, depth, technology)
+// never touches the models.
+type ModelSpec struct {
 	predictor branch.PredictorConfig
 	btb       branch.BTBConfig
 	hierarchy cache.HierarchyConfig
 	icache    cache.Config
 }
 
-func (c *Config) modelSpec() modelSpec {
-	return modelSpec{c.Predictor, c.BTB, c.Hierarchy, c.ICache}
+// ModelSpec returns the configuration's model descriptions.
+func (c *Config) ModelSpec() ModelSpec {
+	return ModelSpec{c.Predictor, c.BTB, c.Hierarchy, c.ICache}
 }
 
 func (c *Config) hasPredictor() bool { return c.Predictor != (branch.PredictorConfig{}) }
@@ -74,7 +78,7 @@ func NewModels(c *Config) (*Models, error) {
 	if err := c.validateModels(); err != nil {
 		return nil, err
 	}
-	m := &Models{spec: c.modelSpec()}
+	m := &Models{spec: c.ModelSpec()}
 	if c.hasPredictor() {
 		m.predictor = c.Predictor.New()
 	}
@@ -154,7 +158,7 @@ const (
 // exit behind the FIFO address path (TestModelOutcomesDepthInvariant).
 // Outcomes are immutable, so one value serves a run at every depth.
 type Outcomes struct {
-	spec    modelSpec          // the descriptions of the replayed models
+	spec    ModelSpec          // the descriptions of the replayed models
 	trace   *trace.PackedTrace // the replayed window: records [lo, hi)
 	lo, hi  int
 	col     []uint8

@@ -122,30 +122,8 @@ type Result struct {
 	// result for reproducibility.
 	Manifest telemetry.Manifest
 
-	Instructions uint64 // retired instructions N_I
-	Cycles       uint64 // total cycles T (in cycles)
-
-	IssueCycles uint64   // cycles in which ≥1 instruction issued
-	IssueHist   []uint64 // [0..Width] instructions issued per cycle
-	StallCycles [NumStallCauses]uint64
-	// CycleBudget attributes every cycle of the run to exactly one
-	// CycleBucket; the buckets sum to Cycles (RuleCycleBudget).
-	CycleBudget [NumCycleBuckets]uint64
-	Hazards     HazardCounts
-
-	Branches          uint64
-	TakenBranches     uint64
-	PredictorCorrect  uint64
-	LoadCount         uint64
-	RXCount           uint64
-	StoreCount        uint64
-	L1Misses          uint64           // demand load+store L1 misses
-	ICacheMisses      uint64           // instruction-line misses (ICache configured)
-	BTBMisses         uint64           // taken-branch target misses (BTB configured)
-	UnitActive        [NumUnits]uint64 // cycles each unit switched at all
-	UnitOps           [NumUnits]uint64 // instructions processed per unit
-	Samples           []ActivitySample // interval trace (SampleInterval > 0)
-	MaxWindowOccupied int
+	// ResultData holds every counter the run measured.
+	ResultData
 
 	// Traffic is the attached models' measured-window traffic, the
 	// cache.* and btb.* counters PublishMetrics exports.

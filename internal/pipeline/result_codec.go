@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"slices"
+
 	"repro/internal/telemetry"
 )
 
@@ -11,12 +13,14 @@ import (
 // persisted (this) and the part that can be rebuilt from the machine
 // configuration (the Config itself, identified by its Fingerprint).
 type ResultData struct {
-	Instructions uint64 `json:"instructions"`
-	Cycles       uint64 `json:"cycles"`
+	Instructions uint64 `json:"instructions"` // retired instructions N_I
+	Cycles       uint64 `json:"cycles"`       // total cycles T (in cycles)
 
-	IssueCycles uint64                  `json:"issue_cycles"`
-	IssueHist   []uint64                `json:"issue_hist,omitempty"`
-	StallCycles [NumStallCauses]uint64  `json:"stall_cycles"`
+	IssueCycles uint64                 `json:"issue_cycles"`         // cycles in which ≥1 instruction issued
+	IssueHist   []uint64               `json:"issue_hist,omitempty"` // [0..Width] instructions issued per cycle
+	StallCycles [NumStallCauses]uint64 `json:"stall_cycles"`
+	// CycleBudget attributes every cycle of the run to exactly one
+	// CycleBucket; the buckets sum to Cycles (RuleCycleBudget).
 	CycleBudget [NumCycleBuckets]uint64 `json:"cycle_budget"`
 	Hazards     HazardCounts            `json:"hazards"`
 
@@ -26,46 +30,18 @@ type ResultData struct {
 	LoadCount         uint64           `json:"load_count"`
 	RXCount           uint64           `json:"rx_count"`
 	StoreCount        uint64           `json:"store_count"`
-	L1Misses          uint64           `json:"l1_misses"`
-	ICacheMisses      uint64           `json:"icache_misses"`
-	BTBMisses         uint64           `json:"btb_misses"`
-	UnitActive        [NumUnits]uint64 `json:"unit_active"`
-	UnitOps           [NumUnits]uint64 `json:"unit_ops"`
-	Samples           []ActivitySample `json:"samples,omitempty"`
+	L1Misses          uint64           `json:"l1_misses"`         // demand load+store L1 misses
+	ICacheMisses      uint64           `json:"icache_misses"`     // instruction-line misses (ICache configured)
+	BTBMisses         uint64           `json:"btb_misses"`        // taken-branch target misses (BTB configured)
+	UnitActive        [NumUnits]uint64 `json:"unit_active"`       // cycles each unit switched at all
+	UnitOps           [NumUnits]uint64 `json:"unit_ops"`          // instructions processed per unit
+	Samples           []ActivitySample `json:"samples,omitempty"` // interval trace (SampleInterval > 0)
 	MaxWindowOccupied int              `json:"max_window_occupied"`
 }
 
 // Data extracts the serializable measurement payload of the result.
 // Slices are copied so the payload is independent of the Result.
-func (r *Result) Data() ResultData {
-	d := ResultData{
-		Instructions:      r.Instructions,
-		Cycles:            r.Cycles,
-		IssueCycles:       r.IssueCycles,
-		StallCycles:       r.StallCycles,
-		CycleBudget:       r.CycleBudget,
-		Hazards:           r.Hazards,
-		Branches:          r.Branches,
-		TakenBranches:     r.TakenBranches,
-		PredictorCorrect:  r.PredictorCorrect,
-		LoadCount:         r.LoadCount,
-		RXCount:           r.RXCount,
-		StoreCount:        r.StoreCount,
-		L1Misses:          r.L1Misses,
-		ICacheMisses:      r.ICacheMisses,
-		BTBMisses:         r.BTBMisses,
-		UnitActive:        r.UnitActive,
-		UnitOps:           r.UnitOps,
-		MaxWindowOccupied: r.MaxWindowOccupied,
-	}
-	if r.IssueHist != nil {
-		d.IssueHist = append([]uint64(nil), r.IssueHist...)
-	}
-	if r.Samples != nil {
-		d.Samples = append([]ActivitySample(nil), r.Samples...)
-	}
-	return d
-}
+func (r *Result) Data() ResultData { return r.ResultData.clone() }
 
 // Restore rebuilds a Result from the payload under the given machine
 // configuration, identified by configHash (the full configuration's
@@ -79,33 +55,12 @@ func (r *Result) Data() ResultData {
 func (d ResultData) Restore(cfg Config, configHash string) *Result {
 	man := telemetry.NewManifest("pipeline.Restore")
 	man.ConfigHash = configHash
-	r := &Result{
-		Config:            cfg,
-		Manifest:          man,
-		Instructions:      d.Instructions,
-		Cycles:            d.Cycles,
-		IssueCycles:       d.IssueCycles,
-		StallCycles:       d.StallCycles,
-		CycleBudget:       d.CycleBudget,
-		Hazards:           d.Hazards,
-		Branches:          d.Branches,
-		TakenBranches:     d.TakenBranches,
-		PredictorCorrect:  d.PredictorCorrect,
-		LoadCount:         d.LoadCount,
-		RXCount:           d.RXCount,
-		StoreCount:        d.StoreCount,
-		L1Misses:          d.L1Misses,
-		ICacheMisses:      d.ICacheMisses,
-		BTBMisses:         d.BTBMisses,
-		UnitActive:        d.UnitActive,
-		UnitOps:           d.UnitOps,
-		MaxWindowOccupied: d.MaxWindowOccupied,
-	}
-	if d.IssueHist != nil {
-		r.IssueHist = append([]uint64(nil), d.IssueHist...)
-	}
-	if d.Samples != nil {
-		r.Samples = append([]ActivitySample(nil), d.Samples...)
-	}
-	return r
+	return &Result{Config: cfg, Manifest: man, ResultData: d.clone()}
+}
+
+// clone returns a copy of d that shares no slice storage with it.
+func (d ResultData) clone() ResultData {
+	d.IssueHist = slices.Clone(d.IssueHist)
+	d.Samples = slices.Clone(d.Samples)
+	return d
 }

@@ -145,7 +145,7 @@ func RunWith(cfg Config, m *Models, src trace.Stream) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if m.spec != cfg.modelSpec() {
+	if m.spec != cfg.ModelSpec() {
 		return nil, errModelMismatch
 	}
 	ps, err := packInput(src)
@@ -165,7 +165,7 @@ func RunReplayed(cfg Config, o *Outcomes, src *trace.PackedStream) (*Result, err
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if t, lo, hi := src.Trace(); o.spec != cfg.modelSpec() || o.trace != t || o.lo != lo || o.hi != hi {
+	if t, lo, hi := src.Trace(); o.spec != cfg.ModelSpec() || o.trace != t || o.lo != lo || o.hi != hi {
 		return nil, errModelMismatch
 	}
 	return newSim(cfg, o, src).run(start)
@@ -226,7 +226,7 @@ func newSim(cfg Config, o *Outcomes, src *trace.PackedStream) *sim {
 	if cfg.OutOfOrder {
 		s.pending = make([]uint64, 0, cfg.WindowCap)
 	}
-	s.res = &Result{Config: cfg, IssueHist: make([]uint64, cfg.Width+1), Traffic: o.traffic}
+	s.res = &Result{Config: cfg, ResultData: ResultData{IssueHist: make([]uint64, cfg.Width+1)}, Traffic: o.traffic}
 	return s
 }
 
@@ -376,7 +376,7 @@ func (s *sim) loop() error {
 					break
 				}
 				i := w.idx(seq)
-				if cc, ok := s.blockCause(seq, i, c); ok {
+				if cc, until := s.blockCause(seq, i, c); until != 0 {
 					cause, blocked = cc, true
 					break
 				}
@@ -889,70 +889,58 @@ func (s *sim) classifyWriter(seq uint64) StallCause {
 }
 
 // blockCause reports why the class-c in-order issue head (sequence
-// number seq, window slot i) cannot issue, if it cannot. Loads and
-// stores issue without waiting for their own data (the machine is
-// access-decoupled: address generation and cache access run ahead of
-// the execution queue, per Fig. 2); only true consumers of in-flight
-// data stall.
+// number seq, window slot i) cannot issue, and until, the earliest
+// cycle at which that answer can change: the unblocking dataReady or
+// fpuBusyUntil threshold, or the operand wait's (see operandWait). A
+// wait that only another stage's movement can end gives never; until
+// is 0 when the head can issue. Loads and stores issue without waiting
+// for their own data (the machine is access-decoupled: address
+// generation and cache access run ahead of the execution queue, per
+// Fig. 2); only true consumers of in-flight data stall.
 //
 //lint:hotpath per-instruction stall classification; must not allocate
-func (s *sim) blockCause(seq, i uint64, c isa.Class) (StallCause, bool) {
+func (s *sim) blockCause(seq, i uint64, c isa.Class) (cause StallCause, until uint64) {
 	switch c {
 	case isa.Load:
-		return 0, false
-	case isa.Store:
-		if r := s.fc.Src1[seq]; s.regReady[r] > s.cycle { // store data not ready
-			return s.classifyDep(r), true
-		}
-		return 0, false
+		return 0, 0
+	case isa.Store: // store data
+		return s.operandWait(s.fc.Src1[seq])
 	case isa.RX:
 		// The memory operand must have arrived and the register operand
 		// must be ready: the zSeries RX op computes at issue.
 		if s.w.dataReady[i] == never {
-			return StallAgen, true
+			return StallAgen, never
 		}
 		if s.w.dataReady[i] > s.cycle {
-			return StallMemory, true
+			return StallMemory, s.w.dataReady[i]
 		}
-		if r := s.fc.Src1[seq]; s.regReady[r] > s.cycle {
-			return s.classifyDep(r), true
-		}
-		return 0, false
+		return s.operandWait(s.fc.Src1[seq])
 	}
 	if c == isa.FP && s.fpuBusyUntil > s.cycle {
-		return StallFP, true
+		return StallFP, s.fpuBusyUntil
 	}
-	if r := s.fc.Src1[seq]; r != isa.RegNone && s.regReady[r] > s.cycle {
-		return s.classifyDep(r), true
+	if cause, until := s.operandWait(s.fc.Src1[seq]); until != 0 {
+		return cause, until
 	}
-	if r := s.fc.Src2[seq]; r != isa.RegNone && s.regReady[r] > s.cycle {
-		return s.classifyDep(r), true
-	}
-	return 0, false
+	return s.operandWait(s.fc.Src2[seq])
 }
 
-// classifyDep attributes a wait on register r to its producer: a load
-// still in the address path is an agen stall, a load waiting on a
-// cache miss is a memory stall, anything else is a plain dependency.
-// The producer's class is read slot-faithfully — the class of whatever
-// currently occupies the producer's window slot, which may be a younger
-// instruction after slot reuse.
+// operandWait attributes an in-order wait on source register r to its
+// producer, lastWriter[r], and returns the cycle at which the wait
+// ends — regReady[r] — or, for a load whose data is on its way, at
+// which it turns from a memory stall into a dependency one. until is 0
+// when r is ready.
 //
 //lint:hotpath per-operand stall classification; must not allocate
-func (s *sim) classifyDep(r isa.Reg) StallCause {
-	if !s.haveWriter[r] {
-		return StallDependency
+func (s *sim) operandWait(r isa.Reg) (cause StallCause, until uint64) {
+	if r == isa.RegNone || s.regReady[r] <= s.cycle {
+		return 0, 0
 	}
-	p := s.w.idx(s.lastWriter[r])
-	if isa.Class(s.fc.Class[s.w.seq[p]]) == isa.Load {
-		if s.w.dataReady[p] == never {
-			return StallAgen
-		}
-		if s.w.dataReady[p] > s.cycle {
-			return StallMemory
-		}
+	p := s.lastWriter[r]
+	if cause = s.classifyWriter(p); cause == StallMemory {
+		return cause, min(s.regReady[r], s.w.dataReady[s.w.idx(p)])
 	}
-	return StallDependency
+	return cause, s.regReady[r]
 }
 
 // issue starts execution of the class-c instruction seq in window slot

@@ -35,12 +35,16 @@ import (
 // must be enabled by a time gate, because before any movement every
 // resource gate is unchanged. wakeCycle therefore enumerates every
 // time gate reachable from the frozen state — including the gates that
-// merely flip an accounting decision rather than movement (stall-cause
-// reclassification thresholds inside blockCause/classifyDep, the
-// anyMoving transit ages and busy-until horizons that feed
-// UnitActive, and the iBusyUntil horizon that splits the frontend
-// budget bucket) — and the engine replicates the quiet cycle's exact
-// accounting for every cycle strictly before the earliest gate:
+// merely flip an accounting decision rather than movement (the
+// anyMoving transit ages and busy-until horizons that feed UnitActive,
+// and the iBusyUntil horizon that splits the frontend budget bucket).
+// The issue head contributes one gate, which blockCause itself reports:
+// while the head blocks on the FPU or on its first unready operand, its
+// answer — blocked, and with which cause — holds until that one
+// threshold (or, for a load producer, its data arrival, where memory
+// turns into dependency), whatever the later operands' thresholds. The
+// engine replicates the quiet cycle's exact accounting for every cycle
+// strictly before the earliest gate:
 //
 //	IssueHist[0]        += k   (zero-issue cycle)
 //	CycleBudget[bucket] += k   (same bucket: all gates ≥ wake)
@@ -79,17 +83,20 @@ import (
 //
 //lint:hotpath runs after every quiet stall cycle; must not allocate
 func (s *sim) skipAhead() {
+	// The issue head's one gate: blockCause's answer holds until it
+	// reports it can change.
+	head := uint64(never)
 	if s.issued < s.decoded {
-		// Defensive: only replicate while the issue head is provably
-		// blocked. A quiet cycle with an issuable head cannot happen
-		// (issue would have taken it); if it ever did, stepping
-		// per-cycle is always correct.
 		seq := s.issued
-		if _, blocked := s.blockCause(seq, s.w.idx(seq), isa.Class(s.fc.Class[seq])); !blocked {
+		_, head = s.blockCause(seq, s.w.idx(seq), isa.Class(s.fc.Class[seq]))
+		if head == 0 {
+			// Defensive: a quiet cycle with an issuable head cannot
+			// happen (issue would have taken it); if it ever did,
+			// stepping per-cycle is always correct.
 			return
 		}
 	}
-	wake := s.wakeCycle()
+	wake := boundWake(s.wakeCycle(), head, s.cycle)
 	if wake <= s.cycle+1 {
 		return
 	}
@@ -120,8 +127,8 @@ func boundWake(wake, c, t uint64) uint64 {
 }
 
 // wakeCycle returns the earliest future cycle at which any time gate
-// of the frozen machine state can fire. Cycles strictly before it
-// replay the quiet cycle verbatim.
+// of the frozen machine state, other than the issue head's (see
+// skipAhead), can fire.
 //
 //lint:hotpath runs after every quiet stall cycle; must not allocate
 func (s *sim) wakeCycle() uint64 {
@@ -160,11 +167,6 @@ func (s *sim) wakeCycle() uint64 {
 			wake = boundWake(wake, s.w.complete[i]+1, t)
 		}
 	}
-	// Issue of the execution-queue head: every comparison threshold in
-	// its blockCause chain.
-	if s.issued < s.decoded {
-		wake = s.issueWake(wake)
-	}
 	// Cache exit.
 	if s.cachePipe.size > 0 {
 		wake = boundWake(wake, s.cacheBusyUntil, t)
@@ -189,63 +191,6 @@ func (s *sim) wakeCycle() uint64 {
 	if s.decodePipe.size > 0 {
 		wake = boundWake(wake, s.decodePipe.headAt()+s.decTransit, t)
 		wake = boundWake(wake, s.decodePipe.lastAt+s.decTransit, t)
-	}
-	return wake
-}
-
-// issueWake folds in every time gate of the in-order issue head's
-// blockCause chain: the comparisons that unblock it and the ones that
-// merely reclassify the stall cause mid-wait (classifyDep consults the
-// producer's dataReady, so that threshold gates too).
-//
-//lint:hotpath runs after every quiet stall cycle; must not allocate
-func (s *sim) issueWake(wake uint64) uint64 {
-	t := s.cycle
-	seq := s.issued
-	i := s.w.idx(seq)
-	c, r1, r2 := isa.Class(s.fc.Class[seq]), s.fc.Src1[seq], s.fc.Src2[seq]
-	switch c {
-	case isa.Load:
-		// A load head is never blocked; the defensive blockCause check
-		// in skipAhead already bailed. Unreachable.
-	case isa.Store:
-		wake = boundWake(wake, s.regReady[r1], t)
-		wake = s.depWake(wake, r1, t)
-	case isa.RX:
-		if dr := s.w.dataReady[i]; dr != never {
-			wake = boundWake(wake, dr, t)
-		}
-		wake = boundWake(wake, s.regReady[r1], t)
-		wake = s.depWake(wake, r1, t)
-	default: // FP, RR, Branch
-		if c == isa.FP {
-			wake = boundWake(wake, s.fpuBusyUntil, t)
-		}
-		if r1 != isa.RegNone {
-			wake = boundWake(wake, s.regReady[r1], t)
-			wake = s.depWake(wake, r1, t)
-		}
-		if r2 != isa.RegNone {
-			wake = boundWake(wake, s.regReady[r2], t)
-			wake = s.depWake(wake, r2, t)
-		}
-	}
-	return wake
-}
-
-// depWake mirrors classifyDep's internal thresholds: while a consumer
-// waits on register r, the reported cause can flip from memory to
-// plain dependency exactly when the producing load's data arrives, so
-// that arrival is a gate even though nothing moves.
-//
-//lint:hotpath runs per issue-head operand after quiet stall cycles; must not allocate
-func (s *sim) depWake(wake uint64, r isa.Reg, t uint64) uint64 {
-	if r == isa.RegNone || !s.haveWriter[r] {
-		return wake
-	}
-	p := s.w.idx(s.lastWriter[r])
-	if isa.Class(s.fc.Class[s.w.seq[p]]) == isa.Load && s.w.dataReady[p] != never {
-		wake = boundWake(wake, s.w.dataReady[p], t)
 	}
 	return wake
 }

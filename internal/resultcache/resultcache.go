@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sync"
@@ -184,6 +185,38 @@ func Open(opts Options) (*Cache, error) {
 		}
 	}
 	return c, nil
+}
+
+// OpenDir opens the cache a command line names: its directory (empty
+// disables caching and gives a nil Cache), whether it is read-only, and
+// whether to clear it first.
+func OpenDir(dir string, readonly, clear bool, reg *telemetry.Registry) (*Cache, error) {
+	if dir == "" {
+		return nil, nil
+	}
+	c, err := Open(Options{Dir: dir, ReadOnly: readonly, Metrics: reg})
+	if err != nil {
+		return nil, err
+	}
+	if clear {
+		if err := c.Clear(); err != nil {
+			return nil, fmt.Errorf("clear cache: %w", err)
+		}
+	}
+	return c, nil
+}
+
+// LogSummary reports the cache's effectiveness for the run as one
+// "cache summary" record; a nil cache logs nothing.
+func (c *Cache) LogSummary(log *slog.Logger) {
+	if c == nil {
+		return
+	}
+	st := c.Stats()
+	log.Info("cache summary",
+		"hits", st.Hits, "misses", st.Misses,
+		"hit_rate", fmt.Sprintf("%.0f%%", 100*st.HitRate()),
+		"stored", st.Stores)
 }
 
 // entryPath shards entries by the first byte of the fingerprint so no
