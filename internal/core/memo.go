@@ -36,8 +36,9 @@ import (
 // entirely.
 
 // memoMaxEntries bounds the memo. At the default 30k measured
-// instructions an entry is ~0.9 MiB of packed trace plus 30 KiB per
-// outcome column, so the bound holds the full 55-workload catalog.
+// instructions an entry is ~0.56 MiB of packed trace (19.5 bytes per
+// instruction on the catalog's mix) plus 30 KiB per outcome column, so
+// the bound holds the full 55-workload catalog.
 const memoMaxEntries = 64
 
 // cell is one outcome column, computed once.

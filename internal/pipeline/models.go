@@ -180,12 +180,14 @@ func (m *Models) Replay(ps *trace.PackedStream) *Outcomes {
 	return o
 }
 
-// replay fills col with the outcomes of the instructions fc holds.
+// replay fills col with the outcomes of the instructions fc holds,
+// walking the by-kind address and target columns with a cursor each.
 //
 //lint:hotpath per-instruction model replay; must not allocate
 func (m *Models) replay(fc trace.Columns, col []uint8) {
 	hier, icache, pred, btb := m.hierarchy, m.icache, m.predictor, m.btb
 	lastLine := uint64(0)
+	mem, br := 0, 0
 	for seq := range col {
 		pc, flg := fc.PC[seq], fc.Flags[seq]
 		var oc uint8
@@ -197,9 +199,12 @@ func (m *Models) replay(fc trace.Columns, col []uint8) {
 				}
 			}
 		}
-		if hier != nil && flg&trace.FlagHasMem != 0 {
-			level, _ := hier.Access(fc.Addr[seq])
-			oc |= uint8(level)
+		if flg&trace.FlagHasMem != 0 {
+			if hier != nil {
+				level, _ := hier.Access(fc.Addr[mem])
+				oc |= uint8(level)
+			}
+			mem++
 		}
 		if isa.Class(fc.Class[seq]) == isa.Branch {
 			taken := flg&trace.FlagTaken != 0
@@ -214,8 +219,9 @@ func (m *Models) replay(fc trace.Columns, col []uint8) {
 				if _, hit := btb.Lookup(pc); !hit {
 					oc |= outBTBMiss
 				}
-				btb.Update(pc, fc.Target[seq])
+				btb.Update(pc, fc.Target[br])
 			}
+			br++
 		}
 		col[seq] = oc
 	}

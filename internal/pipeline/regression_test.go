@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -72,4 +74,49 @@ func TestRegressionDigest(t *testing.T) {
 				"if intentional, update regressionDigest", key, got, want)
 		}
 	}
+}
+
+// TestNoDestinationRecordsRun: isa.Instruction.Validate accepts an RR,
+// RX, FP or Load record whose Dst is RegNone, and a Store whose data
+// register Src1 is RegNone. Such records produce or consume nothing
+// through the register scoreboard, so every engine setting must run
+// them to retirement — in order with and without skip-ahead (with
+// identical results) and out of order — beside ordinary producers
+// and consumers of the same registers.
+func TestNoDestinationRecordsRun(t *testing.T) {
+	var ins []isa.Instruction
+	pc := uint64(0x1000)
+	add := func(in isa.Instruction) {
+		in.PC = pc
+		pc += 4
+		ins = append(ins, in)
+	}
+	for k := range uint64(8) {
+		addr := 0x8000 + 4096*k
+		add(isa.Instruction{Class: isa.Load, Addr: addr, Dst: 1, Src1: 2, Src2: isa.RegNone})
+		add(isa.Instruction{Class: isa.RR, Dst: isa.RegNone, Src1: 1, Src2: isa.RegNone})
+		add(isa.Instruction{Class: isa.RX, Addr: addr + 8, Dst: isa.RegNone, Src1: 1, Src2: 2})
+		add(isa.Instruction{Class: isa.FP, FPLat: 4, Dst: isa.RegNone, Src1: isa.FirstFPR, Src2: isa.RegNone})
+		add(isa.Instruction{Class: isa.Load, Addr: addr + 16, Dst: isa.RegNone, Src1: 1, Src2: isa.RegNone})
+		add(isa.Instruction{Class: isa.Store, Addr: addr + 24, Dst: isa.RegNone, Src1: isa.RegNone, Src2: 1})
+		add(isa.Instruction{Class: isa.RR, Dst: 2, Src1: 1, Src2: 2})
+	}
+	run := func(engine EngineKind, ooo bool) *Result {
+		t.Helper()
+		cfg := MustDefaultConfig(10)
+		cfg.Engine, cfg.OutOfOrder = engine, ooo
+		r, err := Run(cfg, trace.NewSliceStream(ins))
+		if err != nil {
+			t.Fatalf("engine %d ooo %v: %v", engine, ooo, err)
+		}
+		if r.Instructions != uint64(len(ins)) {
+			t.Fatalf("engine %d ooo %v: retired %d of %d records", engine, ooo, r.Instructions, len(ins))
+		}
+		return r
+	}
+	auto, perCycle := run(EngineAuto, false), run(EnginePerCycle, false)
+	if !reflect.DeepEqual(auto.Data(), perCycle.Data()) {
+		t.Errorf("EngineAuto and EnginePerCycle disagree:\n auto %+v\n per-cycle %+v", auto.Data(), perCycle.Data())
+	}
+	run(EngineAuto, true)
 }

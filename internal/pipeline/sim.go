@@ -172,26 +172,14 @@ func RunReplayed(cfg Config, o *Outcomes, src *trace.PackedStream) (*Result, err
 }
 
 // packInput returns src as a packed cursor, draining any stream that is
-// not one already. A source that reports a decode error through Err
-// (a trace.Reader) fails the run instead of simulating a prefix.
+// not one already (see trace.PackAll).
 func packInput(src trace.Stream) (*trace.PackedStream, error) {
 	if ps, ok := src.(*trace.PackedStream); ok {
 		return ps, nil
 	}
-	// Size the trace from the stream's length when it reports one,
-	// capped so a loose bound over a short source reserves little.
-	n := 0
-	if l, ok := src.(interface{ Len() int }); ok {
-		n = min(l.Len(), 1<<16)
-	}
-	p := trace.NewPackedTrace(n)
-	for in, ok := src.Next(); ok; in, ok = src.Next() {
-		if err := p.Append(in); err != nil {
-			return nil, fmt.Errorf("pipeline: %w", err)
-		}
-	}
-	if e, ok := src.(interface{ Err() error }); ok && e.Err() != nil {
-		return nil, fmt.Errorf("pipeline: %w", e.Err())
+	p, err := trace.PackAll(src)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	return p.Stream(), nil
 }
@@ -511,7 +499,7 @@ func (s *sim) loop() error {
 				if w.issuedAt[i] != never {
 					w.complete[i] = max(w.issuedAt[i]+intLat, w.dataReady[i])
 				}
-				if c == isa.Load {
+				if c == isa.Load && flg[seq]&trace.FlagWritesReg != 0 {
 					d := s.fc.Dst[seq]
 					if s.haveWriter[d] && s.lastWriter[d] == seq {
 						s.regReady[d] = w.dataReady[i]
@@ -999,10 +987,14 @@ func (s *sim) issue(seq, i uint64, c isa.Class) {
 }
 
 // setWriter records seq as the issued producer of its destination
-// register, readable from cycle ready.
+// register, readable from cycle ready. A record without a destination
+// (Dst is RegNone) produces nothing.
 //
 //lint:hotpath per-instruction issue bookkeeping; must not allocate
 func (s *sim) setWriter(seq, ready uint64) {
+	if s.fc.Flags[seq]&trace.FlagWritesReg == 0 {
+		return
+	}
 	d := s.fc.Dst[seq]
 	s.regReady[d] = ready
 	s.lastWriter[d] = seq

@@ -3,6 +3,7 @@ package trace
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -67,9 +68,11 @@ func TestPackUnpackIsIdentity(t *testing.T) {
 		if got := p.Unpack(); !decodeEq(got, ins) {
 			t.Fatalf("Unpack != source:\n got %v\nwant %v", got, ins)
 		}
+		// A cursor opened at any record ranks its way into the by-kind
+		// columns.
 		for i := range ins {
-			if at := p.At(i); at != ins[i] {
-				t.Fatalf("At(%d) = %+v, want %+v", i, at, ins[i])
+			if at, _ := p.Slice(i, len(ins)).Next(); at != ins[i] {
+				t.Fatalf("Slice(%d).Next() = %+v, want %+v", i, at, ins[i])
 			}
 		}
 	}
@@ -199,36 +202,71 @@ func TestPackedStreamCursor(t *testing.T) {
 	if l := p.Slice(50, 10).Len(); l != 0 {
 		t.Fatalf("inverted slice len = %d, want 0", l)
 	}
+	if l := p.Slice(100, 200).Len(); l != 0 {
+		t.Fatalf("slice past the end len = %d, want 0", l)
+	}
 }
 
+// TestPackedColumnsView checks the column view at window starts on,
+// just past and inside rank blocks: the dense columns hold record
+// lo+j at index j, and Addr and Target hold exactly the addresses of
+// the window's memory records and the targets of its branches, in
+// program order.
 func TestPackedColumnsView(t *testing.T) {
-	ins := packedTestStream(128, 23)
+	ins := packedTestStream(200, 23)
 	p, err := Pack(ins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const lo = 40
-	c := p.Columns(lo)
-	if len(c.Class) != p.Len()-lo {
-		t.Fatalf("column view length = %d, want %d", len(c.Class), p.Len()-lo)
+	for _, lo := range []int{0, 1, 40, 63, 64, 65, 128, 199, 200} {
+		c := p.Columns(lo)
+		if len(c.Class) != p.Len()-lo {
+			t.Fatalf("lo %d: column view length = %d, want %d", lo, len(c.Class), p.Len()-lo)
+		}
+		var addrs, targets []uint64
+		for i := lo; i < p.Len(); i++ {
+			in := ins[i]
+			j := i - lo
+			if isa.Class(c.Class[j]) != in.Class || c.Dst[j] != in.Dst ||
+				c.Src1[j] != in.Src1 || c.Src2[j] != in.Src2 ||
+				c.PC[j] != in.PC || c.FPLat[j] != in.FPLat {
+				t.Fatalf("lo %d: column view record %d disagrees with source %d", lo, j, i)
+			}
+			if taken := c.Flags[j]&FlagTaken != 0; taken != in.Taken {
+				t.Fatalf("lo %d: FlagTaken of %d = %v, want %v", lo, j, taken, in.Taken)
+			}
+			if hasMem := c.Flags[j]&FlagHasMem != 0; hasMem != in.HasMemory() {
+				t.Fatalf("lo %d: FlagHasMem of %d = %v, want %v", lo, j, hasMem, in.HasMemory())
+			}
+			if writes := c.Flags[j]&FlagWritesReg != 0; writes != in.WritesReg() {
+				t.Fatalf("lo %d: FlagWritesReg of %d = %v, want %v", lo, j, writes, in.WritesReg())
+			}
+			if in.HasMemory() {
+				addrs = append(addrs, in.Addr)
+			}
+			if in.Class == isa.Branch {
+				targets = append(targets, in.Target)
+			}
+		}
+		if !slices.Equal(c.Addr, addrs) {
+			t.Fatalf("lo %d: Addr = %v, want the window's memory addresses %v", lo, c.Addr, addrs)
+		}
+		if !slices.Equal(c.Target, targets) {
+			t.Fatalf("lo %d: Target = %v, want the window's branch targets %v", lo, c.Target, targets)
+		}
 	}
-	for i := lo; i < p.Len(); i++ {
-		in := ins[i]
-		j := i - lo
-		if isa.Class(c.Class[j]) != in.Class || c.Dst[j] != in.Dst ||
-			c.Src1[j] != in.Src1 || c.Src2[j] != in.Src2 ||
-			c.PC[j] != in.PC || c.Addr[j] != in.Addr || c.Target[j] != in.Target ||
-			c.FPLat[j] != in.FPLat {
-			t.Fatalf("column view record %d disagrees with source %d", j, i)
-		}
-		if taken := c.Flags[j]&FlagTaken != 0; taken != in.Taken {
-			t.Fatalf("FlagTaken of %d = %v, want %v", j, taken, in.Taken)
-		}
-		if hasMem := c.Flags[j]&FlagHasMem != 0; hasMem != in.HasMemory() {
-			t.Fatalf("FlagHasMem of %d = %v, want %v", j, hasMem, in.HasMemory())
-		}
-		if writes := c.Flags[j]&FlagWritesReg != 0; writes != in.WritesReg() {
-			t.Fatalf("FlagWritesReg of %d = %v, want %v", j, writes, in.WritesReg())
+}
+
+// TestPackRejectsStrayAddrAndTarget: the trace keeps an address only on
+// memory records and a target only on branches, so a record carrying
+// either elsewhere cannot be reproduced and must be refused.
+func TestPackRejectsStrayAddrAndTarget(t *testing.T) {
+	for _, in := range []isa.Instruction{
+		{PC: 0x1000, Class: isa.RR, Addr: 0x8000, Dst: 1, Src1: 2, Src2: isa.RegNone},
+		{PC: 0x1000, Class: isa.Load, Addr: 0x8000, Target: 0x2000, Dst: 1, Src1: 2, Src2: isa.RegNone},
+	} {
+		if _, err := Pack([]isa.Instruction{in}); err == nil {
+			t.Errorf("Pack accepted %+v", in)
 		}
 	}
 }
@@ -271,11 +309,12 @@ func TestPackedIterationAllocFree(t *testing.T) {
 		t.Fatalf("Next allocates %.1f/op, want 0", avg)
 	}
 	if avg := testing.AllocsPerRun(200, func() {
-		sink = p.At(17)
+		s.Reset()
+		s.Skip(17)
 		_ = p.HasMemory(17)
 		_ = p.BaseReg(17)
 	}); avg != 0 {
-		t.Fatalf("At/annotation reads allocate %.1f/op, want 0", avg)
+		t.Fatalf("Reset/Skip/annotation reads allocate %.1f/op, want 0", avg)
 	}
 	_ = sink
 }
