@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/resultcache"
+	"repro/internal/telemetry/span"
 	"repro/internal/workload"
 )
 
@@ -271,15 +274,15 @@ func TestRunCatalogSchedulesAgree(t *testing.T) {
 // Machine serves every default point.
 func TestDefaultMachineKeyIsStable(t *testing.T) {
 	prof := workload.Representative(workload.SPECInt)
-	def := StudyConfig{}.withDefaults()
+	def := sweepKey(StudyConfig{}.withDefaults(), prof)
 	for _, d := range DefaultDepths() {
 		mc := pipeline.MustDefaultConfig(d)
-		if got, want := cacheKey(def, &mc, prof, d).ConfigHash, mc.Fingerprint(); got != want {
+		if got, want := cacheKey(def, &mc, d).ConfigHash, mc.Fingerprint(); got != want {
 			t.Fatalf("depth %d: key ConfigHash %s, want %s", d, got, want)
 		}
 	}
 	mc := pipeline.MustDefaultConfig(10)
-	if got := cacheKey(def, &mc, prof, 10).ConfigHash; got != "0601bf3dd4608022" {
+	if got := cacheKey(def, &mc, 10).ConfigHash; got != "0601bf3dd4608022" {
 		t.Fatalf("depth 10: key ConfigHash %s, want 0601bf3dd4608022", got)
 	}
 
@@ -312,5 +315,61 @@ func TestDefaultMachineKeyIsStable(t *testing.T) {
 		if got := p.Result.Manifest.ConfigHash; got != fresh {
 			t.Fatalf("depth %d: restored ConfigHash %s, simulated %s", p.Depth, got, fresh)
 		}
+	}
+}
+
+// TestCachedSweepPacksNothing: a sweep served wholly from a reopened
+// disk cache never packs its workload's trace — it leaves no memo
+// entry and opens no pack span — and is bit-identical to the sweep
+// that simulated and stored it.
+func TestCachedSweepPacksNothing(t *testing.T) {
+	dir := t.TempDir()
+	cfg, _ := cachedCfg(t, resultcache.Options{Dir: dir})
+	prof := workload.Representative(workload.Legacy)
+	prof.Seed ^= 0x7061636b // an entry of this test's own
+	simulated, err := RunSweep(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := memoKey(prof, 0, cfg.Instructions)
+	sweepMemo.Lock()
+	_, packed := sweepMemo.entries[key]
+	delete(sweepMemo.entries, key)
+	sweepMemo.order = slices.DeleteFunc(sweepMemo.order, func(k string) bool { return k == key })
+	sweepMemo.Unlock()
+	if !packed {
+		t.Fatal("the simulated sweep left no memo entry")
+	}
+
+	reopened, err := resultcache.Open(resultcache.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = reopened
+	tr := span.NewTracer(nil, 0)
+	cfg.Spans = tr
+	served, err := RunSweep(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := reopened.Stats(); st.Hits != uint64(len(cfg.Depths)) || st.Misses != 0 {
+		t.Fatalf("reopened cache: %+v, want every point a hit", st)
+	}
+	sweepMemo.Lock()
+	_, packed = sweepMemo.entries[key]
+	sweepMemo.Unlock()
+	if packed || len(tr.ByName("pack")) != 0 {
+		t.Fatal("a sweep served from the cache packed its trace")
+	}
+	for i, p := range served.Points {
+		want := simulated.Points[i]
+		if p.Depth != want.Depth || p.FO4 != want.FO4 ||
+			!reflect.DeepEqual(p.Result.Data(), want.Result.Data()) ||
+			p.GatedPower != want.GatedPower || p.PlainPower != want.PlainPower {
+			t.Fatalf("depth %d: served point differs from the simulated one", p.Depth)
+		}
+	}
+	if !bytes.Equal(summaryBytes(t, served), summaryBytes(t, simulated)) {
+		t.Fatal("served sweep's summary differs from the simulated one")
 	}
 }

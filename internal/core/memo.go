@@ -32,8 +32,8 @@ import (
 // the difftest engine bit-identity tier checks end to end.
 //
 // The memo is bounded (FIFO eviction) and only consulted on the
-// packed-engine path; forcing pipeline.EnginePerCycle bypasses it
-// entirely.
+// packed-engine path, by the first point of a sweep that misses the
+// result cache; forcing pipeline.EnginePerCycle bypasses it entirely.
 
 // memoMaxEntries bounds the memo. At the default 30k measured
 // instructions an entry is ~0.56 MiB of packed trace (19.5 bytes per

@@ -263,23 +263,9 @@ func RunSweep(cfg StudyConfig, prof workload.Profile) (*Sweep, error) {
 		span.String("workload", prof.Name), span.Int("depths", len(cfg.Depths)))
 	defer wsp.End()
 	cfg.parentSpan = wsp
-	// Pack the workload trace once per sweep: every depth replays the
-	// identical instruction stream, so the decode work (generator
-	// replay, operand/dependency resolution) amortizes across the whole
-	// sweep instead of repeating per design point. The packed trace and
-	// its model outcomes are immutable once built, shared read-only by
-	// the depth workers, and memoized process-wide so repeated catalog
-	// runs skip them too.
-	var ent *memoEntry
-	if cfg.Engine != pipeline.EnginePerCycle {
-		psp := wsp.Child("pack",
-			span.Int("instructions", cfg.Warmup+cfg.Instructions))
-		e, err := packedFor(cfg, prof)
-		psp.End()
-		if err != nil {
-			return nil, err
-		}
-		ent = e
+	sw := &sweepRun{cfg: cfg, prof: prof}
+	if cfg.Cache != nil {
+		sw.key = sweepKey(cfg, prof)
 	}
 	points := make([]DepthPoint, len(cfg.Depths))
 	errs := make([]error, len(cfg.Depths))
@@ -292,7 +278,7 @@ func RunSweep(cfg StudyConfig, prof workload.Profile) (*Sweep, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			pt, hit, err := runPoint(cfg, prof, d, ent)
+			pt, hit, err := sw.runPoint(d)
 			points[i], errs[i] = pt, err
 			if err == nil {
 				cfg.notePoint(prof, d, pt, hit, time.Since(start))
@@ -308,6 +294,39 @@ func RunSweep(cfg StudyConfig, prof workload.Profile) (*Sweep, error) {
 	return &Sweep{Workload: prof, Points: points}, nil
 }
 
+// sweepRun is what one RunSweep's depth points share: the result-cache
+// key fields that are the same at every depth, and the workload's memo
+// entry, fetched by the first point that has to simulate. A sweep
+// served wholly from the cache never packs its trace.
+type sweepRun struct {
+	cfg  StudyConfig
+	prof workload.Profile
+	key  resultcache.Key // every field but ConfigHash and Depth
+
+	once sync.Once
+	ent  *memoEntry
+	err  error
+}
+
+// entry returns the workload's memo entry, or nil on the per-cycle
+// engine, which bypasses the memo. The first call packs the trace (or
+// finds it memoized) under a "pack" span of the point psp that needed
+// it: every depth replays the identical instruction stream, so the
+// decode work amortizes across the sweep, and the packed trace and
+// its model outcomes, immutable once built, are shared read-only by
+// the depth workers and memoized process-wide for repeated studies.
+func (s *sweepRun) entry(psp *span.Span) (*memoEntry, error) {
+	if s.cfg.Engine == pipeline.EnginePerCycle {
+		return nil, nil
+	}
+	s.once.Do(func() {
+		sp := psp.Child("pack", span.Int("instructions", s.cfg.Warmup+s.cfg.Instructions))
+		s.ent, s.err = packedFor(s.cfg, s.prof)
+		sp.End()
+	})
+	return s.ent, s.err
+}
+
 // runPoint simulates one design point with fresh machine state,
 // consulting the result cache first when one is configured. With a
 // memo entry the point runs on its shared packed trace and the model
@@ -315,7 +334,8 @@ func RunSweep(cfg StudyConfig, prof workload.Profile) (*Sweep, error) {
 // read-only); otherwise it warms fresh models on a fresh generator.
 // The second return reports whether the point was served from the
 // cache.
-func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry) (DepthPoint, bool, error) {
+func (s *sweepRun) runPoint(depth int) (DepthPoint, bool, error) {
+	cfg, prof := s.cfg, s.prof
 	psp := cfg.startSpan("point",
 		span.String("workload", prof.Name), span.Int("depth", depth))
 	defer psp.End()
@@ -331,7 +351,7 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 	useCache := cfg.Cache != nil && mc.Tracer == nil
 	var key resultcache.Key
 	if useCache {
-		key = cacheKey(cfg, &mc, prof, depth)
+		key = cacheKey(s.key, &mc, depth)
 		csp := psp.Child("cache", span.String("op", "get"))
 		v, ok := cfg.Cache.Get(key)
 		csp.End()
@@ -345,6 +365,10 @@ func runPoint(cfg StudyConfig, prof workload.Profile, depth int, ent *memoEntry)
 				PlainPower: v.PlainPower,
 			}, true, nil
 		}
+	}
+	ent, err := s.entry(psp)
+	if err != nil {
+		return DepthPoint{}, false, err
 	}
 	mc.Engine = cfg.Engine
 	res, err := simulatePoint(cfg, prof, mc, ent, psp)
@@ -418,21 +442,27 @@ func warmupSpan(psp *span.Span, n int) *span.Span {
 	return psp.Child("warmup", span.Int("instructions", n))
 }
 
-// cacheKey builds the content address of one design point. The
-// Config describes its models without holding them, so its
-// fingerprint is the same cold or warm (the warm-up length is a key
-// field of its own).
-func cacheKey(cfg StudyConfig, mc *pipeline.Config, prof workload.Profile, depth int) resultcache.Key {
+// sweepKey builds the result-cache key fields a sweep shares at every
+// depth: the power model's and the workload profile's fingerprints are
+// rendered once per sweep, not once per point.
+func sweepKey(cfg StudyConfig, prof workload.Profile) resultcache.Key {
 	return resultcache.Key{
-		ConfigHash:   mc.Fingerprint(),
 		PowerHash:    cfg.Power.Fingerprint(),
 		Workload:     prof.Name,
 		WorkloadHash: telemetry.Fingerprint(fmt.Sprintf("%+v", prof)),
 		Seed:         prof.Seed,
-		Depth:        depth,
 		Instructions: cfg.Instructions,
 		Warmup:       cfg.Warmup,
 	}
+}
+
+// cacheKey completes a sweep's key for one design point. The Config
+// describes its models without holding them, so its fingerprint is the
+// same cold or warm (the warm-up length is a key field of its own).
+func cacheKey(sweep resultcache.Key, mc *pipeline.Config, depth int) resultcache.Key {
+	sweep.ConfigHash = mc.Fingerprint()
+	sweep.Depth = depth
+	return sweep
 }
 
 // RunCatalog sweeps every profile concurrently (bounded by

@@ -3,6 +3,7 @@ package difftest
 import (
 	"encoding/json"
 	"fmt"
+	"os"
 	"reflect"
 
 	"repro/internal/core"
@@ -165,42 +166,74 @@ func checkParallelism(opts Options, rec *invariant.Recorder, rep *Report, base [
 	return nil
 }
 
-// checkCacheDifferential runs the catalog twice against one
-// memory-backed result cache — a cold pass that populates it and a
-// warm pass served from it — and asserts both are bit-identical to
-// the cache-less baseline.
+// checkCacheDifferential runs the catalog three times against a
+// disk-backed result cache — a cold pass that populates a fresh
+// directory, a warm pass served from the same cache, and a pass through
+// the directory reopened, served from its entry files — and asserts all
+// three are bit-identical to the cache-less baseline.
 func checkCacheDifferential(opts Options, rec *invariant.Recorder, rep *Report, base []*core.Sweep) error {
-	cache, err := resultcache.Open(resultcache.Options{Metrics: opts.Metrics})
+	dir, err := os.MkdirTemp("", "difftest-cache-")
 	if err != nil {
-		return fmt.Errorf("difftest: open cache: %w", err)
+		return fmt.Errorf("difftest: cache dir: %w", err)
 	}
-	run := func() ([]*core.Sweep, error) {
+	defer os.RemoveAll(dir)
+	open := func() (*resultcache.Cache, error) {
+		c, err := resultcache.Open(resultcache.Options{Dir: dir, Metrics: opts.Metrics})
+		if err != nil {
+			return nil, fmt.Errorf("difftest: open cache: %w", err)
+		}
+		return c, nil
+	}
+	run := func(c *resultcache.Cache, pass string) ([]*core.Sweep, error) {
 		cfg := opts.study(rec)
-		cfg.Cache = cache
-		return core.RunCatalog(cfg, opts.Profiles)
+		cfg.Cache = c
+		sweeps, err := core.RunCatalog(cfg, opts.Profiles)
+		if err != nil {
+			return nil, fmt.Errorf("difftest: %s-cache catalog: %w", pass, err)
+		}
+		return sweeps, nil
 	}
-	cold, err := run()
+	cache, err := open()
 	if err != nil {
-		return fmt.Errorf("difftest: cold-cache catalog: %w", err)
+		return err
 	}
-	warm, err := run()
+	cold, err := run(cache, "cold")
 	if err != nil {
-		return fmt.Errorf("difftest: warm-cache catalog: %w", err)
+		return err
 	}
-	applySweepMutation(opts.Mutate, MutCacheDrift, warm)
+	warm, err := run(cache, "warm")
+	if err != nil {
+		return err
+	}
+	reopened, err := open()
+	if err != nil {
+		return err
+	}
+	disk, err := run(reopened, "reopened")
+	if err != nil {
+		return err
+	}
+	applySweepMutation(opts.Mutate, MutCacheDrift, disk)
+	// A point the reopened cache missed was simulated, not decoded.
+	diskMisses := reopened.Stats().Misses
 	for i, sw := range base {
-		coldDetail, coldSame := equalSweeps(sw, cold[i])
-		warmDetail, warmSame := equalSweeps(sw, warm[i])
-		detail := "cold populate and warm replay both bit-identical"
-		if !coldSame {
-			detail = "cold: " + coldDetail
-		} else if !warmSame {
-			detail = "warm: " + warmDetail
+		detail, same := "cold populate, warm replay and reopened-disk replay all bit-identical", true
+		for _, leg := range []struct {
+			name   string
+			sweeps []*core.Sweep
+		}{{"cold", cold}, {"warm", warm}, {"disk", disk}} {
+			if d, ok := equalSweeps(sw, leg.sweeps[i]); !ok {
+				detail, same = leg.name+": "+d, false
+				break
+			}
+		}
+		if same && diskMisses > 0 {
+			detail, same = fmt.Sprintf("disk: %d points missed the reopened cache", diskMisses), false
 		}
 		rep.add(Check{
 			Name:     "differential/cache",
 			Workload: sw.Workload.Name,
-			Passed:   coldSame && warmSame,
+			Passed:   same,
 			Detail:   detail,
 		})
 	}

@@ -30,8 +30,8 @@ const (
 	// MutGatedAbovePlain swaps the gated and ungated evaluations →
 	// power/gated_bound.
 	MutGatedAbovePlain Mutation = "gated-above-plain"
-	// MutCacheDrift perturbs a warm-cache result so the replay is no
-	// longer bit-identical → differential/cache.
+	// MutCacheDrift perturbs a result replayed from the reopened disk
+	// cache so the replay is no longer bit-identical → differential/cache.
 	MutCacheDrift Mutation = "cache-drift"
 	// MutParallelDrift perturbs the serial rerun → differential/parallel.
 	MutParallelDrift Mutation = "parallel-drift"

@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,7 +45,7 @@ func testValue(i int) Value {
 func entryFile(t *testing.T, dir string, k Key) string {
 	t.Helper()
 	fp := k.Fingerprint()
-	path := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion), fp[:2], fp+".json")
+	path := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion), fp[:2], fp+".entry")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("entry file: %v", err)
 	}
@@ -220,7 +221,12 @@ func TestCorruptEntryRecovery(t *testing.T) {
 			}
 		}},
 		{"foreign-schema", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, []byte("RCACHE999 00000000 0\n"), 0o644); err != nil {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint16(raw[6:], SchemaVersion-1)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -276,7 +282,7 @@ func TestKeyMismatchInsideEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	ofp := other.Fingerprint()
-	dst := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion), ofp[:2], ofp+".json")
+	dst := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion), ofp[:2], ofp+".entry")
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +316,7 @@ func TestReadOnly(t *testing.T) {
 		t.Fatalf("read-only Put: %v", err)
 	}
 	fp := k2.Fingerprint()
-	path := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion), fp[:2], fp+".json")
+	path := filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion), fp[:2], fp+".entry")
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("read-only Put created %s", path)
 	}
