@@ -135,12 +135,12 @@ func BenchmarkRunTelemetryEnabled(b *testing.B) {
 		gen.Reset()
 		cfg := pipeline.MustDefaultConfig(10)
 		cfg.Tracer = pipeline.NewTracer(0)
-		cfg.Metrics = reg
 		r, err := pipeline.Run(cfg, trace.NewLimitStream(gen, n))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if cfg.Tracer.Len() == 0 || r.Manifest.ConfigHash == "" {
+		r.PublishMetrics(reg)
+		if cfg.Tracer.Len() == 0 || reg.Counter("pipeline.instructions").Value() == 0 {
 			b.Fatal("telemetry not recorded")
 		}
 	}

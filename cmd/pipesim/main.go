@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"time"
 
 	"repro/internal/branch"
 	"repro/internal/fit"
@@ -121,7 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracer.SetSampling(*traceSample)
 		cfg.Tracer = tracer
 	}
-	cfg.Metrics = reg
 	models, err := pipeline.NewModels(&cfg)
 	if err != nil {
 		return fail(err)
@@ -174,10 +174,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		src = trace.NewLimitStream(gen, *n)
 	}
 
+	// The run manifest travels with every exported artifact.
+	man := runManifest(cfg)
+	start := time.Now()
 	res, err := pipeline.RunWith(cfg, models, src)
 	if err != nil {
 		return fail(err)
 	}
+	man.Finish(start)
 	fmt.Fprint(stdout, res)
 	if *units {
 		fmt.Fprint(stdout, res.UtilizationReport())
@@ -211,10 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			bips, bips/b.Total(), bips*bips/b.Total(), bips*bips*bips/b.Total())
 	}
 
-	// The run manifest stamped by pipeline.Run, enriched with what
-	// only the CLI knows, travels with every exported artifact.
-	man := res.Manifest
-	man.Tool = "pipesim"
 	man.SetParam("workload", wlName)
 	if wlSeed != 0 {
 		man.SetParam("seed", fmt.Sprintf("%#x", wlSeed))
@@ -223,6 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	man.SetParam("warmup", strconv.Itoa(*warm))
 
 	if reg != nil {
+		res.PublishMetrics(reg)
 		gb, pb := pm.Evaluate(res, true), pm.Evaluate(res, false)
 		gb.Publish(reg, "power.gated")
 		pb.Publish(reg, "power.plain")
@@ -255,6 +256,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		log.Info("wrote JSONL trace", "events", tracer.Len(), "path", *traceJSONL)
 	}
 	return 0
+}
+
+// runManifest describes the simulated machine for the exported
+// artifacts: its configuration hash and its shape.
+func runManifest(cfg pipeline.Config) telemetry.Manifest {
+	m := telemetry.NewManifest("pipesim")
+	m.ConfigHash = cfg.Fingerprint()
+	m.SetParam("depth", strconv.Itoa(cfg.Plan.Depth))
+	m.SetParam("width", strconv.Itoa(cfg.Width))
+	m.SetParam("cycle_time_fo4", fmt.Sprintf("%.3f", cfg.CycleTime()))
+	if cfg.OutOfOrder {
+		m.SetParam("ooo", "true")
+	}
+	return m
 }
 
 // writeTo creates path, runs fn on the file, and closes it, reporting

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/pipeline"
+	"repro/internal/telemetry"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -89,5 +91,54 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	var out, errBuf strings.Builder
 	if code := run([]string{"-definitely-not-a-flag"}, &out, &errBuf); code != 2 {
 		t.Fatalf("exit = %d, want 2", code)
+	}
+}
+
+// TestManifestHashTracksConfig reads the manifest line of -metrics-out:
+// its config_hash is the simulated machine's fingerprint, equal for
+// identical runs and different across depths, and its params describe
+// the machine's shape.
+func TestManifestHashTracksConfig(t *testing.T) {
+	manifest := func(args ...string) telemetry.Manifest {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "m.jsonl")
+		args = append([]string{"-n", "500", "-warmup", "0", "-metrics-out", path}, args...)
+		var out, stderr strings.Builder
+		if code := run(args, &out, &stderr); code != 0 {
+			t.Fatalf("pipesim %v: exit %d\n%s", args, code, stderr.String())
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(string(raw), "\n")
+		var m telemetry.Manifest
+		if err := json.Unmarshal([]byte(first), &m); err != nil {
+			t.Fatalf("manifest line %q: %v", first, err)
+		}
+		return m
+	}
+	a, b := manifest("-depth", "10"), manifest("-depth", "10")
+	cfg, err := machineConfig("zseries", "tournament", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.ConfigHash != cfg.Fingerprint() || b.ConfigHash != a.ConfigHash {
+		t.Errorf("config_hash %s and %s, want the machine's %s", a.ConfigHash, b.ConfigHash, cfg.Fingerprint())
+	}
+	if c := manifest("-depth", "20"); c.ConfigHash == a.ConfigHash {
+		t.Error("different depths share a config hash")
+	}
+	want := map[string]string{"depth": "10", "width": "4", "cycle_time_fo4": "16.500", "workload": "si95-gcc"}
+	for k, v := range want {
+		if a.Params[k] != v {
+			t.Errorf("param %s = %q, want %q", k, a.Params[k], v)
+		}
+	}
+	if a.Tool != "pipesim" || a.GoVersion == "" || a.WallTimeSec <= 0 {
+		t.Errorf("manifest environment not stamped: %+v", a)
+	}
+	if o := manifest("-ooo"); o.Params["ooo"] != "true" {
+		t.Errorf("-ooo run: ooo param %q, want true", o.Params["ooo"])
 	}
 }

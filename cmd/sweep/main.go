@@ -313,9 +313,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	man.SetParam("depth_max", strconv.Itoa(*maxDepth))
 	man.SetParam("machine", *mach)
 	if p, ok := s.PointAt(*traceDepth); ok {
-		man.ConfigHash = p.Result.Manifest.ConfigHash
+		man.ConfigHash = p.Result.Config.Fingerprint()
 	} else if len(s.Points) > 0 {
-		man.ConfigHash = s.Points[0].Result.Manifest.ConfigHash
+		man.ConfigHash = s.Points[0].Result.Config.Fingerprint()
 	}
 	man.Finish(start)
 

@@ -2,11 +2,15 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/invariant"
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/resultcache"
@@ -169,16 +173,89 @@ func TestCacheKeyedByStudyParameters(t *testing.T) {
 	if after := cache.Stats(); after.Hits != base.Hits+2 {
 		t.Fatalf("baseline config no longer hits: %+v", after)
 	}
-	// A changed workload profile (same name, same seed) must miss.
-	edited := prof
-	edited.DepP *= 0.5
-	before := cache.Stats()
-	if _, err := RunSweep(cfg, edited); err != nil {
+	// A changed workload profile must miss: an edited behaviour under
+	// the same name and seed, and a renamed or reseeded profile, all
+	// through the key's WorkloadHash.
+	for name, edit := range map[string]func(*workload.Profile){
+		"behaviour": func(p *workload.Profile) { p.DepP *= 0.5 },
+		"name":      func(p *workload.Profile) { p.Name += "-renamed" },
+		"seed":      func(p *workload.Profile) { p.Seed++ },
+	} {
+		edited := prof
+		edit(&edited)
+		before := cache.Stats()
+		if _, err := RunSweep(cfg, edited); err != nil {
+			t.Fatal(err)
+		}
+		if after := cache.Stats(); after.Hits != before.Hits {
+			t.Fatalf("stale cache hit for a profile with a changed %s", name)
+		}
+	}
+}
+
+// TestServedPointsArePriced: the cache stores only what the simulator
+// measured, so a point served from it is priced, and its power laws
+// checked, like a simulated one. A cold sweep under a model that breaks
+// a law (negative leakage) fills the cache with no recorder attached;
+// each point of the warm sweep, served from the cache with a recorder
+// attached, must record power violations. Under the default model the
+// served breakdowns equal the simulated ones bit for bit.
+func TestServedPointsArePriced(t *testing.T) {
+	cfg, cache := cachedCfg(t, resultcache.Options{Dir: t.TempDir()})
+	cfg.Depths = []int{3, 8, 14}
+	prof := workload.Representative(workload.Modern)
+	broken := power.DefaultModel()
+	broken.Pl = -broken.Pl
+	cfg.Power = broken
+	if _, err := RunSweep(cfg, prof); err != nil {
 		t.Fatal(err)
 	}
-	if after := cache.Stats(); after.Hits != before.Hits {
-		t.Fatal("stale cache hit for edited workload profile")
+	for _, d := range cfg.Depths {
+		one := cfg
+		one.Depths = []int{d}
+		one.Invariants = invariant.New(nil)
+		before := cache.Stats()
+		if _, err := RunSweep(one, prof); err != nil {
+			t.Fatal(err)
+		}
+		if st := cache.Stats(); st.Hits != before.Hits+1 {
+			t.Fatalf("depth %d: not served from the cache: %+v", d, st)
+		}
+		if one.Invariants.Count() == 0 {
+			t.Errorf("depth %d: negative leakage on a served point recorded no violation", d)
+		}
 	}
+
+	cfg.Power = power.Model{}
+	cold, err := RunSweep(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	warm, err := RunSweep(cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Hits != before.Hits+uint64(len(cfg.Depths)) {
+		t.Fatalf("default-model rerun not served from the cache: %+v", st)
+	}
+	for i, p := range warm.Points {
+		want := cold.Points[i]
+		if breakdownBits(p.GatedPower) != breakdownBits(want.GatedPower) ||
+			breakdownBits(p.PlainPower) != breakdownBits(want.PlainPower) {
+			t.Fatalf("depth %d: served breakdowns differ from the simulated ones", p.Depth)
+		}
+	}
+}
+
+// breakdownBits renders every figure of a breakdown by its bit pattern.
+func breakdownBits(b power.Breakdown) string {
+	var s strings.Builder
+	for _, v := range append([]float64{b.Dynamic, b.Leakage, b.Latches},
+		slices.Concat(b.PerUnit[:], b.PerUnitDynamic[:], b.PerUnitLeakage[:])...) {
+		fmt.Fprintf(&s, "%x ", math.Float64bits(v))
+	}
+	return fmt.Sprint(b.Gated, s.String())
 }
 
 // TestTracerBypassesCache: a design point carrying an event tracer
@@ -269,7 +346,7 @@ func TestRunCatalogSchedulesAgree(t *testing.T) {
 // default-machine points: at every simulated depth its ConfigHash is
 // the default Config's fingerprint (internal/experiments pins those in
 // its config-hash golden; depth 10 is 0601bf3dd4608022), a freshly
-// simulated point's manifest carries the same hash as the point
+// simulated point's Config has the same fingerprint as the point
 // restored from the cache, and a cache written through an explicit
 // Machine serves every default point.
 func TestDefaultMachineKeyIsStable(t *testing.T) {
@@ -311,8 +388,8 @@ func TestDefaultMachineKeyIsStable(t *testing.T) {
 		t.Fatal("default points served from the cache differ from the simulated run")
 	}
 	for i, p := range served.Points {
-		fresh := written.Points[i].Result.Manifest.ConfigHash
-		if got := p.Result.Manifest.ConfigHash; got != fresh {
+		fresh := written.Points[i].Result.Config.Fingerprint()
+		if got := p.Result.Config.Fingerprint(); got != fresh {
 			t.Fatalf("depth %d: restored ConfigHash %s, simulated %s", p.Depth, got, fresh)
 		}
 	}

@@ -93,7 +93,7 @@ func checkCodecRoundTrip(opts Options, sw *core.Sweep) Check {
 	for i := range sw.Points {
 		pt := &sw.Points[i]
 		data := pt.Result.Data()
-		restored := data.Restore(pt.Result.Config, pt.Result.Manifest.ConfigHash).Data()
+		restored := data.Restore(pt.Result.Config).Data()
 		if i == 0 {
 			restored = opts.Mutate.applyCodec(restored)
 		}

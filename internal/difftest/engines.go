@@ -154,7 +154,7 @@ func applySkipaheadDrift(active Mutation, auto []*core.Sweep) {
 		return
 	}
 	pt := &auto[0].Points[0]
-	mut := pt.Result.Data().Restore(pt.Result.Config, pt.Result.Manifest.ConfigHash)
+	mut := pt.Result.Data().Restore(pt.Result.Config)
 	mut.CycleBudget[pipeline.BudgetUsefulIssue]++
 	pt.Result = mut
 }

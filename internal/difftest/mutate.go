@@ -88,15 +88,15 @@ func (m Mutation) validate() error {
 func (m Mutation) applyResult(res *pipeline.Result, gated, plain power.Breakdown) (*pipeline.Result, power.Breakdown, power.Breakdown) {
 	switch m {
 	case MutDropRetire:
-		mut := res.Data().Restore(res.Config, res.Manifest.ConfigHash)
+		mut := res.Data().Restore(res.Config)
 		mut.UnitOps[pipeline.UnitRetire]--
 		return mut, gated, plain
 	case MutStallOverflow:
-		mut := res.Data().Restore(res.Config, res.Manifest.ConfigHash)
+		mut := res.Data().Restore(res.Config)
 		mut.StallCycles[pipeline.StallBranch] = mut.Cycles + 1
 		return mut, gated, plain
 	case MutBudgetSkew:
-		mut := res.Data().Restore(res.Config, res.Manifest.ConfigHash)
+		mut := res.Data().Restore(res.Config)
 		mut.CycleBudget[pipeline.BudgetUsefulIssue]++
 		return mut, gated, plain
 	case MutNegativePower:
@@ -126,7 +126,7 @@ func applySweepMutation(active, target Mutation, sweeps []*core.Sweep) {
 		return
 	}
 	pt := &sweeps[0].Points[0]
-	mut := pt.Result.Data().Restore(pt.Result.Config, pt.Result.Manifest.ConfigHash)
+	mut := pt.Result.Data().Restore(pt.Result.Config)
 	mut.Cycles++
 	pt.Result = mut
 }

@@ -101,7 +101,7 @@ func TestCycleBudgetInvariantCatchesSkew(t *testing.T) {
 	// Inflating any single bucket must break RuleCycleBudget.
 	r := simulatedResult(t)
 	for b := 0; b < NumCycleBuckets; b++ {
-		mut := r.Data().Restore(r.Config, r.Manifest.ConfigHash)
+		mut := r.Data().Restore(r.Config)
 		mut.CycleBudget[b]++
 		rec := invariant.New(nil)
 		if CheckResultInvariants(rec, mut) {

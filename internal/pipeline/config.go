@@ -101,12 +101,6 @@ type Config struct {
 	//lint:fpexempt observer only: tracing never alters simulated results
 	Tracer *telemetry.Tracer
 
-	// Metrics, when non-nil, receives the run's counters (instruction,
-	// cycle, stall and per-unit totals, plus cache and BTB statistics)
-	// after simulation, for aggregation across runs and export.
-	//lint:fpexempt observer only: metrics export never alters simulated results
-	Metrics *telemetry.Registry
-
 	// Invariants, when non-nil, attaches the runtime conformance
 	// engine: per-cycle capacity laws and end-of-run conservation laws
 	// record violations (with cycle/unit context) into the Recorder

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/invariant"
 	"repro/internal/trace"
@@ -88,7 +87,7 @@ func TestCheckResultInvariantsTripsOnMutations(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mut := base.Data().Restore(base.Config, base.Manifest.ConfigHash)
+			mut := base.Data().Restore(base.Config)
 			tc.mutate(mut)
 			rec := invariant.New(nil)
 			if CheckResultInvariants(rec, mut) {
@@ -147,7 +146,7 @@ func TestPlantedBreachSameOnEveryEngine(t *testing.T) {
 				}
 				s := newSim(cfg, m.Replay(ps), ps)
 				plant(s)
-				r, err := s.run(time.Now())
+				r, err := s.run()
 				if err != nil {
 					t.Fatalf("%s depth %d: %v", name, depth, err)
 				}

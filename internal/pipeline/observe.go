@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/isa"
@@ -84,19 +83,6 @@ func (c *Config) Fingerprint() string {
 		// activity trace, possibly truncation) and so are identity.
 		fmt.Sprintf("sample:%d maxcycles:%d", c.SampleInterval, c.MaxCycles),
 	)
-}
-
-// manifest builds the run manifest stamped onto every Result.
-func (c *Config) manifest() telemetry.Manifest {
-	m := telemetry.NewManifest("pipeline.Run")
-	m.ConfigHash = c.Fingerprint()
-	m.SetParam("depth", strconv.Itoa(c.Plan.Depth))
-	m.SetParam("width", strconv.Itoa(c.Width))
-	m.SetParam("cycle_time_fo4", fmt.Sprintf("%.3f", c.CycleTime()))
-	if c.OutOfOrder {
-		m.SetParam("ooo", "true")
-	}
-	return m
 }
 
 // PublishMetrics registers the run's outcome into the registry: one

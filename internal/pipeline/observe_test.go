@@ -49,42 +49,17 @@ func TestRunWithTracerRecordsLifecycleEvents(t *testing.T) {
 
 func TestRunWithoutTracerRecordsNothing(t *testing.T) {
 	cfg := idealConfig(10)
-	r := mustRun(t, cfg, rrIndependent(400))
-	if r.Cycles == 0 {
-		t.Fatal("empty run")
-	}
 	// Config.Tracer nil is the disabled state; nothing to assert on a
-	// tracer that does not exist, but the run must still succeed and
-	// stamp its manifest.
-	if r.Manifest.ConfigHash == "" {
-		t.Error("manifest missing config hash")
-	}
-	if r.Manifest.GoVersion == "" || r.Manifest.WallTimeSec < 0 {
-		t.Errorf("manifest environment not stamped: %+v", r.Manifest)
-	}
-	if d := r.Manifest.Params["depth"]; d != "10" {
-		t.Errorf("manifest depth = %q, want 10", d)
-	}
-}
-
-func TestManifestHashTracksConfig(t *testing.T) {
-	a := mustRun(t, idealConfig(10), rrIndependent(100))
-	b := mustRun(t, idealConfig(10), rrIndependent(100))
-	if a.Manifest.ConfigHash != b.Manifest.ConfigHash {
-		t.Errorf("identical configs hash differently: %s vs %s",
-			a.Manifest.ConfigHash, b.Manifest.ConfigHash)
-	}
-	c := mustRun(t, idealConfig(20), rrIndependent(100))
-	if a.Manifest.ConfigHash == c.Manifest.ConfigHash {
-		t.Error("different depths share a config hash")
+	// tracer that does not exist, but the run must still succeed.
+	if r := mustRun(t, cfg, rrIndependent(400)); r.Cycles == 0 {
+		t.Fatal("empty run")
 	}
 }
 
 func TestRunPublishesMetrics(t *testing.T) {
-	cfg := MustDefaultConfig(10)
 	reg := telemetry.NewRegistry()
-	cfg.Metrics = reg
-	r := mustRun(t, cfg, rrIndependent(1000))
+	r := mustRun(t, MustDefaultConfig(10), rrIndependent(1000))
+	r.PublishMetrics(reg)
 
 	checks := map[string]uint64{
 		"pipeline.instructions": r.Instructions,
@@ -116,27 +91,22 @@ func TestRunPublishesMetrics(t *testing.T) {
 	}
 	// Counters aggregate across runs into the same registry.
 	before := reg.Counter("pipeline.instructions").Value()
-	mustRun(t, cfg2(reg), rrIndependent(500))
+	mustRun(t, MustDefaultConfig(10), rrIndependent(500)).PublishMetrics(reg)
 	if got := reg.Counter("pipeline.instructions").Value(); got != before+500 {
 		t.Errorf("second run: instructions = %d, want %d", got, before+500)
 	}
-}
-
-// cfg2 builds a fresh default config publishing into reg.
-func cfg2(reg *telemetry.Registry) Config {
-	c := MustDefaultConfig(10)
-	c.Metrics = reg
-	return c
 }
 
 func TestTracerChromeExportFromRun(t *testing.T) {
 	cfg := MustDefaultConfig(12)
 	tr := NewTracer(1 << 14)
 	cfg.Tracer = tr
-	r := mustRun(t, cfg, rrIndependent(600))
+	mustRun(t, cfg, rrIndependent(600))
 
+	man := telemetry.NewManifest("test")
+	man.ConfigHash = cfg.Fingerprint()
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf, &r.Manifest); err != nil {
+	if err := tr.WriteChromeTrace(&buf, &man); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -149,9 +119,9 @@ func TestTracerChromeExportFromRun(t *testing.T) {
 	if len(out.TraceEvents) == 0 {
 		t.Fatal("no trace events exported")
 	}
-	if out.Metadata["config_hash"] != r.Manifest.ConfigHash {
+	if out.Metadata["config_hash"] != man.ConfigHash {
 		t.Errorf("metadata config_hash = %v, want %s",
-			out.Metadata["config_hash"], r.Manifest.ConfigHash)
+			out.Metadata["config_hash"], man.ConfigHash)
 	}
 	gates := 0
 	for _, ev := range out.TraceEvents {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
-	"repro/internal/telemetry"
 )
 
 // StallCause classifies why the issue stage made no progress on a
@@ -113,14 +112,9 @@ func (t ModelTraffic) since(t0 ModelTraffic) ModelTraffic {
 // allocates it apart from the engine state, and its Config describes
 // the models without holding them (nor their Outcomes), so
 // a retained Result pins no machine state. The run's identity is
-// Manifest.ConfigHash, the Fingerprint of the full configuration.
+// Config.Fingerprint().
 type Result struct {
 	Config Config
-
-	// Manifest records the run's provenance: configuration hash, key
-	// parameters, wall time and toolchain, stamped by Run on every
-	// result for reproducibility.
-	Manifest telemetry.Manifest
 
 	// ResultData holds every counter the run measured.
 	ResultData

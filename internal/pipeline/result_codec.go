@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"slices"
-
-	"repro/internal/telemetry"
-)
+import "slices"
 
 // ResultData is the serializable measurement payload of a Result: every
 // counter the simulator produced, without the Config and the model
@@ -44,18 +40,13 @@ type ResultData struct {
 func (r *Result) Data() ResultData { return r.ResultData.clone() }
 
 // Restore rebuilds a Result from the payload under the given machine
-// configuration, identified by configHash (the full configuration's
-// Fingerprint, e.g. a result-cache key's ConfigHash). The geometry,
-// plan and technology must be those of the run that produced the data:
-// every derived figure — IPC, BIPS, per-unit utilization, power
-// evaluation — then matches the original run exactly. The
-// manifest is restamped to record the restore rather than the original
-// simulation's wall time; the measured-window model traffic is not
-// part of the payload and reads zero.
-func (d ResultData) Restore(cfg Config, configHash string) *Result {
-	man := telemetry.NewManifest("pipeline.Restore")
-	man.ConfigHash = configHash
-	return &Result{Config: cfg, Manifest: man, ResultData: d.clone()}
+// configuration. The geometry, plan and technology must be those of
+// the run that produced the data: every derived figure — IPC, BIPS,
+// per-unit utilization, power evaluation — then matches the original
+// run exactly. The measured-window model traffic is not part of the
+// payload and reads zero.
+func (d ResultData) Restore(cfg Config) *Result {
+	return &Result{Config: cfg, ResultData: d.clone()}
 }
 
 // clone returns a copy of d that shares no slice storage with it.

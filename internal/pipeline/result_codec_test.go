@@ -48,12 +48,8 @@ func TestResultDataRoundTrip(t *testing.T) {
 	// DeepEqual over the whole struct guards against future Result
 	// fields being forgotten in the codec (a new nonzero field here
 	// fails until Data/Restore carry it).
-	restored := back.Restore(r.Config, r.Manifest.ConfigHash)
-	if restored.Manifest.ConfigHash != r.Manifest.ConfigHash {
-		t.Fatalf("restored ConfigHash %q, want the run's %q", restored.Manifest.ConfigHash, r.Manifest.ConfigHash)
-	}
-	restored.Manifest = r.Manifest // provenance is restamped by design
-	restored.Traffic = r.Traffic   // model traffic is not payload by design
+	restored := back.Restore(r.Config)
+	restored.Traffic = r.Traffic // model traffic is not payload by design
 	if !reflect.DeepEqual(restored, r) {
 		t.Fatal("restored Result differs from original")
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/invariant"
@@ -160,15 +159,13 @@ func RunWith(cfg Config, m *Models, src trace.Stream) (*Result, error) {
 // built from cfg's descriptions; any other outcomes are refused. It
 // touches no model, so one Outcomes value serves a run at every depth.
 func RunReplayed(cfg Config, o *Outcomes, src *trace.PackedStream) (*Result, error) {
-	//lint:ignore detrange wall-clock manifest bookkeeping; never feeds a simulated figure
-	start := time.Now()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if t, lo, hi := src.Trace(); o.spec != cfg.ModelSpec() || o.trace != t || o.lo != lo || o.hi != hi {
 		return nil, errModelMismatch
 	}
-	return newSim(cfg, o, src).run(start)
+	return newSim(cfg, o, src).run()
 }
 
 // packInput returns src as a packed cursor, draining any stream that is
@@ -218,9 +215,8 @@ func newSim(cfg Config, o *Outcomes, src *trace.PackedStream) *sim {
 	return s
 }
 
-// run simulates to completion and finishes the Result; start is the
-// wall-clock start stamped onto its manifest.
-func (s *sim) run(start time.Time) (*Result, error) {
+// run simulates to completion and finishes the Result.
+func (s *sim) run() (*Result, error) {
 	err := s.loop()
 	// Keep the external cursor consistent with the records consumed, for
 	// callers that continue iterating the stream after the run.
@@ -231,11 +227,6 @@ func (s *sim) run(start time.Time) (*Result, error) {
 	s.res.Cycles = s.cycle
 	if s.inv != nil {
 		s.checkRunInvariants()
-	}
-	s.res.Manifest = s.cfg.manifest()
-	s.res.Manifest.Finish(start)
-	if s.cfg.Metrics != nil {
-		s.res.PublishMetrics(s.cfg.Metrics)
 	}
 	return s.res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -381,7 +380,7 @@ func TestWatchdogFiresOnPlantedDeadlock(t *testing.T) {
 		ps := packed.Stream()
 		s := newSim(cfg, m.Replay(ps), ps)
 		s.inExecQ = cfg.ExecQCap
-		_, err = s.run(time.Now())
+		_, err = s.run()
 		if !errors.Is(err, ErrNoProgress) {
 			t.Fatalf("engine %d: err = %v, want ErrNoProgress", engine, err)
 		}

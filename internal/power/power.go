@@ -149,43 +149,10 @@ func (m Model) UnitLatches(plan pipeline.DepthPlan, u pipeline.Unit) float64 {
 // TotalLatches returns the machine's latch count under the plan,
 // counting each merge group once (intervening latches are eliminated
 // when units share a stage; the group is represented by its largest
-// member, consistent with the max-power rule).
-//
-//lint:hotpath runs inside every power evaluation; must not allocate
+// member, consistent with the max-power rule). It is the Latches of
+// any breakdown under the plan.
 func (m Model) TotalLatches(plan pipeline.DepthPlan) float64 {
-	total := 0.0
-	for u := 0; u < pipeline.NumUnits; u++ {
-		unit := pipeline.Unit(u)
-		if skip, _ := m.mergeRole(plan, unit); skip {
-			continue
-		}
-		l := m.UnitLatches(plan, unit)
-		// A merge-group leader represents the whole group by its
-		// largest member.
-		for _, o := range plan.MergeGroup(unit) {
-			if ol := m.UnitLatches(plan, o); ol > l {
-				l = ol
-			}
-		}
-		total += l
-	}
-	return total
-}
-
-// mergeRole reports whether u is a non-leading member of a merge
-// group (skip = true) — the group is accounted once by its first
-// member.
-//
-//lint:hotpath called per unit per power evaluation; must not allocate
-func (m Model) mergeRole(plan pipeline.DepthPlan, u pipeline.Unit) (skip bool, leader pipeline.Unit) {
-	for _, g := range plan.MergeGroups {
-		for i, member := range g {
-			if member == u {
-				return i != 0, g[0]
-			}
-		}
-	}
-	return false, u
+	return m.breakdown(plan, &dynInput{}).Latches
 }
 
 // Breakdown reports the power of one simulated run, with the per-unit
@@ -290,12 +257,11 @@ type dynInput struct {
 	interval uint64
 }
 
-// unitDyn prices one unit's dynamic power for the run or interval
-// described by d.
+// unitDyn prices the dynamic power of one unit holding latches latches
+// for the run or interval described by d.
 //
 //lint:hotpath called per unit per power evaluation; must not allocate
-func (m Model) unitDyn(plan pipeline.DepthPlan, d *dynInput, u pipeline.Unit) float64 {
-	latches := m.UnitLatches(plan, u)
+func (m Model) unitDyn(d *dynInput, u pipeline.Unit, latches float64) float64 {
 	act := 1.0
 	switch {
 	case !d.gated:
@@ -323,34 +289,40 @@ func (m Model) unitDyn(plan pipeline.DepthPlan, d *dynInput, u pipeline.Unit) fl
 // breakdown accumulates the per-unit attribution shared by Evaluate
 // and SamplePower: merge groups contribute the greater of their
 // members' dynamic powers and latch counts, attributed to the leader.
+// Each unit's latches are priced once.
 //
-//lint:hotpath per-evaluation body shared by Evaluate and SamplePower; must not allocate
+//lint:hotpath per-evaluation body shared by Evaluate, SamplePower and TotalLatches; must not allocate
 func (m Model) breakdown(plan pipeline.DepthPlan, d *dynInput) Breakdown {
-	b := Breakdown{Gated: d.gated, Latches: m.TotalLatches(plan)}
+	var lat [pipeline.NumUnits]float64
+	for u := range lat {
+		lat[u] = m.UnitLatches(plan, pipeline.Unit(u))
+	}
+	b := Breakdown{Gated: d.gated}
 	for u := 0; u < pipeline.NumUnits; u++ {
 		unit := pipeline.Unit(u)
-		if skip, _ := m.mergeRole(plan, unit); skip {
-			continue
+		group := plan.MergeGroup(unit)
+		if len(group) > 0 && group[0] != unit {
+			continue // the group's first member accounts for it
 		}
-		dyn := m.unitDyn(plan, d, unit)
-		lat := m.UnitLatches(plan, unit)
-		for _, o := range plan.MergeGroup(unit) {
+		dyn, l := m.unitDyn(d, unit, lat[u]), lat[u]
+		for _, o := range group {
 			if o == unit {
 				continue
 			}
-			if od := m.unitDyn(plan, d, o); od > dyn {
+			if od := m.unitDyn(d, o, lat[o]); od > dyn {
 				dyn = od
 			}
-			if ol := m.UnitLatches(plan, o); ol > lat {
-				lat = ol
+			if lat[o] > l {
+				l = lat[o]
 			}
 		}
-		leak := m.Pl * lat
+		leak := m.Pl * l
 		b.PerUnitDynamic[u] = dyn
 		b.PerUnitLeakage[u] = leak
 		b.PerUnit[u] = dyn + leak
 		b.Dynamic += dyn
 		b.Leakage += leak
+		b.Latches += l
 	}
 	return b
 }

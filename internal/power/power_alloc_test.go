@@ -34,7 +34,6 @@ func allocConfig(depth int) pipeline.Config {
 	// per-cycle engine, the same shape the sweep's inner loop runs.
 	cfg.Tracer = nil
 	cfg.Invariants = nil
-	cfg.Metrics = nil
 	return cfg
 }
 

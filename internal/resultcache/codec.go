@@ -3,10 +3,8 @@ package resultcache
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"math"
 
 	"repro/internal/pipeline"
-	"repro/internal/power"
 )
 
 // An entry file is one fixed-width header and a payload, little-endian:
@@ -16,14 +14,13 @@ import (
 //	6       2     SchemaVersion
 //	8       4     CRC-32C (Castagnoli) of the payload
 //	12      4     payload length in bytes
-//	16      n     payload: the full Key, then the Value
+//	16      n     payload: the full Key, then the pipeline.ResultData
 //
-// The payload holds every field in declaration order: integers and
-// float bit patterns as 8-byte words, bools as one byte (0 or 1),
-// strings and slices as a 4-byte length and then their contents. The
-// encoding is canonical — a payload that decodes re-encodes to the
-// same bytes — so a decoder that accepts only what the encoder writes
-// can reject every other input.
+// The payload holds every field in declaration order: integers as
+// 8-byte words, strings and slices as a 4-byte length and then their
+// contents. The encoding is canonical — a payload that decodes
+// re-encodes to the same bytes — so a decoder that accepts only what
+// the encoder writes can reject every other input.
 const (
 	entryMagic  = "RCACHE"
 	headerBytes = 16
@@ -31,11 +28,11 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeEntry renders the entry file for key and v.
-func encodeEntry(key Key, v Value) []byte {
-	w := walker{b: make([]byte, headerBytes, 2048)}
+// encodeEntry renders the entry file for key and the measurements d.
+func encodeEntry(key Key, d pipeline.ResultData) []byte {
+	w := walker{b: make([]byte, headerBytes, 1024)}
 	w.key(&key)
-	w.value(&v)
+	w.result(&d)
 	seal(w.b)
 	return w.b
 }
@@ -49,12 +46,12 @@ func seal(entry []byte) {
 	binary.LittleEndian.PutUint32(entry[12:], uint32(len(payload)))
 }
 
-// decodeEntry verifies an entry file and decodes its value into v. It
-// reports false when the header, checksum or length is wrong, when the
-// payload does not decode exactly, or when the embedded key is not key:
-// a 64-bit fingerprint collision or a file copied in by hand reads as
-// a miss, never as another key's result. On false, v is garbage.
-func decodeEntry(raw []byte, key Key, v *Value) bool {
+// decodeEntry verifies an entry file and decodes its measurements into
+// d. It reports false when the header, checksum or length is wrong, when
+// the payload does not decode exactly, or when the embedded key is not
+// key: a 64-bit fingerprint collision or a file copied in by hand reads
+// as a miss, never as another key's result. On false, d is garbage.
+func decodeEntry(raw []byte, key Key, d *pipeline.ResultData) bool {
 	if len(raw) < headerBytes || string(raw[:6]) != entryMagic ||
 		binary.LittleEndian.Uint16(raw[6:]) != SchemaVersion {
 		return false
@@ -71,7 +68,7 @@ func decodeEntry(raw []byte, key Key, v *Value) bool {
 	if w.key(&got); w.bad || got != key {
 		return false
 	}
-	w.value(v)
+	w.result(d)
 	return !w.bad && len(w.b) == 0
 }
 
@@ -106,33 +103,10 @@ func (w *walker) word(p *uint64) {
 	}
 }
 
-func (w *walker) float(p *float64) {
-	bits := math.Float64bits(*p)
-	w.word(&bits)
-	*p = math.Float64frombits(bits)
-}
-
 func (w *walker) int(p *int) {
 	u := uint64(int64(*p))
 	w.word(&u)
 	*p = int(int64(u))
-}
-
-func (w *walker) flag(p *bool) {
-	var b byte
-	if *p {
-		b = 1
-	}
-	if !w.decode {
-		w.b = append(w.b, b)
-		return
-	}
-	q := w.take(1)
-	if q == nil || q[0] > 1 {
-		w.bad = true
-		return
-	}
-	*p = q[0] == 1
 }
 
 // length visits the element count n of a string or slice whose
@@ -172,28 +146,13 @@ func (w *walker) words(s []uint64) {
 	}
 }
 
-func (w *walker) floats(s []float64) {
-	for i := range s {
-		w.float(&s[i])
-	}
-}
-
 func (w *walker) key(k *Key) {
 	w.str(&k.ConfigHash)
 	w.str(&k.PowerHash)
-	w.str(&k.Workload)
 	w.str(&k.WorkloadHash)
-	w.word(&k.Seed)
 	w.int(&k.Depth)
 	w.int(&k.Instructions)
 	w.int(&k.Warmup)
-}
-
-func (w *walker) value(v *Value) {
-	w.float(&v.FO4)
-	w.result(&v.Result)
-	w.breakdown(&v.GatedPower)
-	w.breakdown(&v.PlainPower)
 }
 
 // sampleBytes is the encoded size of one pipeline.ActivitySample.
@@ -230,14 +189,4 @@ func (w *walker) result(r *pipeline.ResultData) {
 		w.word(&s.Retired)
 	}
 	w.int(&r.MaxWindowOccupied)
-}
-
-func (w *walker) breakdown(b *power.Breakdown) {
-	w.flag(&b.Gated)
-	w.float(&b.Dynamic)
-	w.float(&b.Leakage)
-	w.floats(b.PerUnit[:])
-	w.floats(b.PerUnitDynamic[:])
-	w.floats(b.PerUnitLeakage[:])
-	w.float(&b.Latches)
 }

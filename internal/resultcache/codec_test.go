@@ -3,21 +3,19 @@ package resultcache
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/pipeline"
 )
 
-// filler sets every leaf of a value to a distinct non-zero value. The
-// first two floats are a NaN with a payload and negative zero, which
-// only a bit-exact codec preserves.
+// filler sets every leaf of a value to a distinct non-zero value.
 type filler struct {
-	t      *testing.T
-	next   uint64
-	floats int
+	t    *testing.T
+	next uint64
 }
 
 func (f *filler) fill(v reflect.Value, path string) {
@@ -41,26 +39,13 @@ func (f *filler) fill(v reflect.Value, path string) {
 	case reflect.Int:
 		f.next++
 		v.SetInt(-int64(f.next))
-	case reflect.Float64:
-		f.next++
-		f.floats++
-		switch f.floats {
-		case 1:
-			v.SetFloat(math.Float64frombits(0x7ff8_0000_0000_0bad))
-		case 2:
-			v.SetFloat(math.Copysign(0, -1))
-		default:
-			v.SetFloat(float64(f.next) + 0.25)
-		}
-	case reflect.Bool:
-		v.SetBool(true)
 	default:
 		f.t.Fatalf("%s: the codec test cannot fill a %s; extend the filler and the codec", path, v.Type())
 	}
 }
 
-// sameBits compares two values leaf by leaf, floats by their bit
-// patterns, and returns the path of the first difference.
+// sameBits compares two values leaf by leaf and returns the path of the
+// first difference.
 func sameBits(a, b reflect.Value, path string) string {
 	switch a.Kind() {
 	case reflect.Struct:
@@ -78,10 +63,6 @@ func sameBits(a, b reflect.Value, path string) string {
 				return p
 			}
 		}
-	case reflect.Float64:
-		if math.Float64bits(a.Float()) != math.Float64bits(b.Float()) {
-			return path
-		}
 	default:
 		if !a.Equal(b) {
 			return path
@@ -90,13 +71,13 @@ func sameBits(a, b reflect.Value, path string) string {
 	return ""
 }
 
-// TestValueCodecCoversEveryField round-trips a Value whose every leaf
-// field holds a distinct value through Put, a reopen and Get. A field
-// added to pipeline.ResultData or power.Breakdown but not to the codec
-// comes back zero and fails here.
+// TestValueCodecCoversEveryField round-trips a pipeline.ResultData
+// whose every leaf field holds a distinct value through Put, a reopen
+// and Get. A field added to ResultData but not to the codec comes back
+// zero and fails here.
 func TestValueCodecCoversEveryField(t *testing.T) {
-	var want Value
-	(&filler{t: t}).fill(reflect.ValueOf(&want).Elem(), "Value")
+	var want pipeline.ResultData
+	(&filler{t: t}).fill(reflect.ValueOf(&want).Elem(), "ResultData")
 	dir := t.TempDir()
 	k := testKey(1)
 	if err := mustOpen(t, Options{Dir: dir}).Put(k, want); err != nil {
@@ -106,7 +87,7 @@ func TestValueCodecCoversEveryField(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after reopen")
 	}
-	if p := sameBits(reflect.ValueOf(want), reflect.ValueOf(got), "Value"); p != "" {
+	if p := sameBits(reflect.ValueOf(want), reflect.ValueOf(got), "ResultData"); p != "" {
 		t.Fatalf("%s did not survive the disk round trip", p)
 	}
 }
@@ -161,7 +142,7 @@ func TestEntryDamageIsCorruptMiss(t *testing.T) {
 // a whole entry file and as a payload behind a valid header (so that
 // inputs reach the payload decoder past the checksum). It must never
 // panic, and an entry it accepts must be exactly what the encoder
-// writes for the value it decoded.
+// writes for the measurements it decoded.
 func FuzzEntryDecode(f *testing.F) {
 	k := testKey(1)
 	valid := encodeEntry(k, testValue(1))
@@ -174,7 +155,7 @@ func FuzzEntryDecode(f *testing.F) {
 		sealed := append(make([]byte, headerBytes), data...)
 		seal(sealed)
 		for _, entry := range [][]byte{data, sealed} {
-			var v Value
+			var v pipeline.ResultData
 			if !decodeEntry(entry, k, &v) {
 				continue
 			}
@@ -187,7 +168,8 @@ func FuzzEntryDecode(f *testing.F) {
 
 // TestConcurrentGetPut drives one disk cache from many goroutines:
 // Gets, Puts and reopened readers of shared and private keys. Every
-// hit must carry its key's value, and the counters must add up exactly.
+// hit must carry its key's measurements, and the counters must add up
+// exactly.
 // Run it under -race: Get and Put do their disk I/O outside the lock.
 func TestConcurrentGetPut(t *testing.T) {
 	dir := t.TempDir()
@@ -205,8 +187,8 @@ func TestConcurrentGetPut(t *testing.T) {
 					id = 100 + w*rounds + i/3 // this worker's own
 				}
 				k, want := testKey(id), testValue(id)
-				check := func(got Value, ok bool) {
-					if p := sameBits(reflect.ValueOf(want), reflect.ValueOf(got), "Value"); ok && p != "" {
+				check := func(got pipeline.ResultData, ok bool) {
+					if p := sameBits(reflect.ValueOf(want), reflect.ValueOf(got), "ResultData"); ok && p != "" {
 						t.Errorf("key %d: hit with a wrong %s", id, p)
 					}
 				}

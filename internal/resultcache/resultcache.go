@@ -2,8 +2,10 @@
 // results. A design point — one (machine configuration, power model,
 // workload, depth, instruction budget) cell of the paper's sweep — is
 // identified by a fingerprint of everything that determines its
-// outcome; the simulated measurements and power figures are stored
-// under that fingerprint on disk, fronted by an in-memory LRU.
+// outcome; what the simulator measured there (pipeline.ResultData) is
+// stored under that fingerprint on disk, fronted by an in-memory LRU.
+// Power is not stored: the reader prices the measured activity under
+// its own power model, as the paper's monitor does after a run.
 //
 // Properties:
 //
@@ -32,7 +34,6 @@ import (
 	"sync"
 
 	"repro/internal/pipeline"
-	"repro/internal/power"
 	"repro/internal/telemetry"
 )
 
@@ -49,7 +50,12 @@ import (
 // v4: the JSON envelope behind a text header became a binary frame
 // (fixed-width magic, schema, CRC-32C and length, then the key and value
 // field by field; see codec.go). Entry files are named <fp>.entry.
-const SchemaVersion = 4
+//
+// v5: an entry is the key and the ResultData alone. The cycle time and
+// both power breakdowns are no longer stored (the reader prices power),
+// and the key no longer carries the workload name and seed, which its
+// WorkloadHash already renders.
+const SchemaVersion = 5
 
 // DefaultMemEntries is the default capacity of the in-memory LRU
 // front (a full 55-workload × 24-depth catalog sweep is 1320 entries).
@@ -67,12 +73,10 @@ type Key struct {
 	ConfigHash string
 	// PowerHash is power.Model.Fingerprint(): the pricing model.
 	PowerHash string
-	// Workload and Seed name the input stream; WorkloadHash
-	// fingerprints the full behavioural profile so that an edited
-	// profile with an unchanged name cannot alias old entries.
-	Workload     string
+	// WorkloadHash fingerprints the full behavioural profile, its name
+	// and seed included, so an edited profile with an unchanged name
+	// cannot alias old entries.
 	WorkloadHash string
-	Seed         uint64
 	// Depth, Instructions and Warmup locate the cell within a study.
 	Depth        int
 	Instructions int
@@ -85,20 +89,9 @@ func (k Key) Fingerprint() string {
 		schemaTerm,
 		"config:"+k.ConfigHash,
 		"power:"+k.PowerHash,
-		"workload:"+k.Workload,
 		"profile:"+k.WorkloadHash,
-		fmt.Sprintf("seed:%#x", k.Seed),
 		fmt.Sprintf("cell:d=%d n=%d w=%d", k.Depth, k.Instructions, k.Warmup),
 	)
-}
-
-// Value is the cached outcome of one design point: the simulator's
-// measurement payload plus the already-evaluated power breakdowns.
-type Value struct {
-	FO4        float64
-	Result     pipeline.ResultData
-	GatedPower power.Breakdown
-	PlainPower power.Breakdown
 }
 
 // Options configures Open.
@@ -158,7 +151,7 @@ type Cache struct {
 // lruEntry is what the LRU list holds.
 type lruEntry struct {
 	fp  string
-	val Value
+	val pipeline.ResultData
 }
 
 // Open prepares a cache rooted at opts.Dir, creating the versioned
@@ -232,12 +225,14 @@ func (c *Cache) count(field *uint64, name string) {
 	}
 }
 
-// Get returns the cached value for the key, if present and intact.
-// The memory front is consulted under the lock; a disk entry is read
-// and decoded outside it, so concurrent Gets decode in parallel.
-func (c *Cache) Get(key Key) (Value, bool) {
+// Get returns the cached measurements for the key, if present and
+// intact. The memory front is consulted under the lock; a disk entry is
+// read and decoded outside it, so concurrent Gets decode in parallel.
+// The returned data shares slice storage with the memory front: callers
+// must not mutate it (pipeline.ResultData.Restore copies).
+func (c *Cache) Get(key Key) (pipeline.ResultData, bool) {
 	if c == nil {
-		return Value{}, false
+		return pipeline.ResultData{}, false
 	}
 	fp := key.Fingerprint()
 	if v, ok := c.lookup(fp); ok || c.dir == "" {
@@ -254,7 +249,7 @@ func (c *Cache) Get(key Key) (Value, bool) {
 	}
 	if got != readOK {
 		c.count(&c.stats.Misses, "misses")
-		return Value{}, false
+		return pipeline.ResultData{}, false
 	}
 	c.memAdd(e)
 	c.count(&c.stats.Hits, "hits")
@@ -263,7 +258,7 @@ func (c *Cache) Get(key Key) (Value, bool) {
 
 // lookup serves fp from the memory front, counting the hit. Without a
 // disk behind the front a miss there is final and is counted too.
-func (c *Cache) lookup(fp string) (Value, bool) {
+func (c *Cache) lookup(fp string) (pipeline.ResultData, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.mem[fp]; ok {
@@ -274,7 +269,7 @@ func (c *Cache) lookup(fp string) (Value, bool) {
 	if c.dir == "" {
 		c.count(&c.stats.Misses, "misses")
 	}
-	return Value{}, false
+	return pipeline.ResultData{}, false
 }
 
 // readOutcome is how a disk read ended; Get counts it under the lock.
@@ -304,11 +299,12 @@ func (c *Cache) readEntry(fp string, key Key) (*lruEntry, readOutcome) {
 	return e, readOK
 }
 
-// Put stores the value. Read-only caches memoize without touching
+// Put stores the measurements, which the cache then owns: callers must
+// not mutate them afterwards. Read-only caches memoize without touching
 // disk. I/O errors are returned (and counted) but callers may treat
 // them as advisory: a failed store only costs a future re-simulation.
 // The entry is encoded, written and renamed outside the lock.
-func (c *Cache) Put(key Key, v Value) error {
+func (c *Cache) Put(key Key, v pipeline.ResultData) error {
 	if c == nil {
 		return nil
 	}
@@ -325,10 +321,11 @@ func (c *Cache) Put(key Key, v Value) error {
 	return nil
 }
 
-// remember adds the value to the memory front and reports whether it
-// is a store to persist: read-only caches memoize in-process only, which
-// is not a store the cache will serve to anyone else.
-func (c *Cache) remember(fp string, v Value) bool {
+// remember adds the measurements to the memory front and reports
+// whether they are a store to persist: read-only caches memoize
+// in-process only, which is not a store the cache will serve to anyone
+// else.
+func (c *Cache) remember(fp string, v pipeline.ResultData) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.memAdd(&lruEntry{fp: fp, val: v})

@@ -18,26 +18,20 @@ func testKey(i int) Key {
 	return Key{
 		ConfigHash:   telemetry.Fingerprint(fmt.Sprintf("config-%d", i)),
 		PowerHash:    power.DefaultModel().Fingerprint(),
-		Workload:     fmt.Sprintf("wl-%d", i),
 		WorkloadHash: telemetry.Fingerprint(fmt.Sprintf("profile-%d", i)),
-		Seed:         uint64(i),
 		Depth:        10 + i,
 		Instructions: 30000,
 		Warmup:       30000,
 	}
 }
 
-// testValue builds a recognizable value.
-func testValue(i int) Value {
-	return Value{
-		FO4: float64(i) + 0.5,
-		Result: pipeline.ResultData{
-			Instructions: uint64(1000 * (i + 1)),
-			Cycles:       uint64(2000 * (i + 1)),
-			IssueHist:    []uint64{1, 2, 3, uint64(i)},
-		},
-		GatedPower: power.Breakdown{Gated: true, Dynamic: float64(i), Leakage: 0.1},
-		PlainPower: power.Breakdown{Dynamic: 2 * float64(i), Leakage: 0.2},
+// testValue builds recognizable measurements.
+func testValue(i int) pipeline.ResultData {
+	return pipeline.ResultData{
+		Instructions: uint64(1000 * (i + 1)),
+		Cycles:       uint64(2000 * (i + 1)),
+		IssueHist:    []uint64{1, 2, 3, uint64(i)},
+		L1Misses:     uint64(7 * i),
 	}
 }
 
@@ -85,8 +79,8 @@ func TestHitMissRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatal("miss after Put")
 			}
-			if got.FO4 != v.FO4 || got.Result.Instructions != v.Result.Instructions ||
-				got.GatedPower.Dynamic != v.GatedPower.Dynamic {
+			if got.Instructions != v.Instructions || got.Cycles != v.Cycles ||
+				got.L1Misses != v.L1Misses {
 				t.Fatalf("got %+v, want %+v", got, v)
 			}
 			if _, ok := c.Get(testKey(2)); ok {
@@ -112,8 +106,8 @@ func TestDiskPersistsAcrossReopen(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after reopen")
 	}
-	if got.Result.Cycles != v.Result.Cycles {
-		t.Fatalf("cycles = %d, want %d", got.Result.Cycles, v.Result.Cycles)
+	if got.Cycles != v.Cycles {
+		t.Fatalf("cycles = %d, want %d", got.Cycles, v.Cycles)
 	}
 }
 
@@ -384,8 +378,8 @@ func TestConcurrentWritersSameKey(t *testing.T) {
 					t.Errorf("Put: %v", err)
 					return
 				}
-				if got, ok := c.Get(k); ok && got.Result.Instructions != v.Result.Instructions {
-					t.Errorf("torn read: %+v", got.Result)
+				if got, ok := c.Get(k); ok && got.Instructions != v.Instructions {
+					t.Errorf("torn read: %+v", got)
 					return
 				}
 			}
@@ -462,9 +456,7 @@ func TestKeyFingerprintSensitivity(t *testing.T) {
 	fields := map[string]func(Key) Key{
 		"config":       func(k Key) Key { k.ConfigHash = "x"; return k },
 		"power":        func(k Key) Key { k.PowerHash = "x"; return k },
-		"workload":     func(k Key) Key { k.Workload = "x"; return k },
 		"profile-hash": func(k Key) Key { k.WorkloadHash = "x"; return k },
-		"seed":         func(k Key) Key { k.Seed++; return k },
 		"depth":        func(k Key) Key { k.Depth++; return k },
 		"instructions": func(k Key) Key { k.Instructions++; return k },
 		"warmup":       func(k Key) Key { k.Warmup++; return k },
