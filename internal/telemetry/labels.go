@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // LabelName renders a metric family name plus label key/value pairs
 // into the single-string name convention the registry stores and the
@@ -19,13 +16,24 @@ func LabelName(family string, kv ...string) string {
 	if len(kv) < 2 {
 		return family
 	}
+	// Label sets are a handful of pairs: they sort by insertion in a
+	// stack array, and the name is built in one allocation.
 	type pair struct{ k, v string }
-	pairs := make([]pair, 0, len(kv)/2)
+	var buf [8]pair
+	pairs := buf[:0]
+	size := len(family) + 2
 	for i := 0; i+1 < len(kv); i += 2 {
-		pairs = append(pairs, pair{sanitizeLabelKey(kv[i]), escapeLabelValue(kv[i+1])})
+		p := pair{sanitizeLabelKey(kv[i]), escapeLabelValue(kv[i+1])}
+		size += len(p.k) + len(p.v) + 4
+		j := len(pairs)
+		pairs = append(pairs, p)
+		for ; j > 0 && pairs[j-1].k > p.k; j-- {
+			pairs[j] = pairs[j-1]
+		}
+		pairs[j] = p
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].k < pairs[j].k })
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(family)
 	b.WriteByte('{')
 	for i, p := range pairs {
@@ -53,23 +61,28 @@ func SplitLabels(name string) (family, labels string) {
 }
 
 // sanitizeLabelKey forces a string into the Prometheus label-name
-// alphabet [a-zA-Z_][a-zA-Z0-9_]*.
+// alphabet [a-zA-Z_][a-zA-Z0-9_]*. A key already in it is returned
+// as is.
 func sanitizeLabelKey(k string) string {
 	if k == "" {
 		return "_"
 	}
-	var b strings.Builder
+	var fixed []byte
 	for i := 0; i < len(k); i++ {
 		c := k[i]
 		ok := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
-		if ok {
-			b.WriteByte(c)
-		} else {
-			b.WriteByte('_')
+		if !ok {
+			if fixed == nil {
+				fixed = []byte(k)
+			}
+			fixed[i] = '_'
 		}
 	}
-	return b.String()
+	if fixed == nil {
+		return k
+	}
+	return string(fixed)
 }
 
 // escapeLabelValue escapes a label value for the text exposition

@@ -21,6 +21,19 @@ func TestLabelNameSortsAndEscapes(t *testing.T) {
 	}
 }
 
+// TestLabelNameAllocatesOnce: per-point metrics render dozens of
+// labeled names, so a name with clean keys and values costs only the
+// string itself.
+func TestLabelNameAllocatesOnce(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		LabelName("power_unit_power_watts",
+			"unit", "fetch", "mode", "gated", "component", "dynamic", "depth", "10")
+	})
+	if allocs != 1 {
+		t.Errorf("LabelName allocates %v times per call, want 1", allocs)
+	}
+}
+
 func TestSplitLabelsRoundTrip(t *testing.T) {
 	name := LabelName("fam", "b", "2", "a", "1")
 	fam, labels := SplitLabels(name)

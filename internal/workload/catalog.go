@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/isa"
@@ -196,19 +197,22 @@ func clamp01(x float64) float64 {
 	return x
 }
 
+// catalogGroups lists each class's workload names, in catalog class order.
+var catalogGroups = []struct {
+	names []string
+	class Class
+}{
+	{legacyNames, Legacy},
+	{modernNames, Modern},
+	{specIntNames, SPECInt},
+	{specFPNames, SPECFP},
+}
+
 // All returns the full 55-workload catalog in a stable order
 // (legacy, modern, SPECint, SPECfp; alphabetical within class).
 func All() []Profile {
 	var out []Profile
-	for _, group := range []struct {
-		names []string
-		class Class
-	}{
-		{legacyNames, Legacy},
-		{modernNames, Modern},
-		{specIntNames, SPECInt},
-		{specFPNames, SPECFP},
-	} {
+	for _, group := range catalogGroups {
 		names := append([]string(nil), group.names...)
 		sort.Strings(names)
 		for _, n := range names {
@@ -231,9 +235,11 @@ func ByClass(c Class) []Profile {
 
 // ByName returns the named catalog workload.
 func ByName(name string) (Profile, bool) {
-	for _, p := range All() {
-		if p.Name == name {
-			return p, true
+	// A profile derives from its name and class alone, so only the
+	// named one is built.
+	for _, group := range catalogGroups {
+		if slices.Contains(group.names, name) {
+			return derive(name, group.class), true
 		}
 	}
 	return Profile{}, false

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -104,6 +105,12 @@ func TestCatalogLookups(t *testing.T) {
 	}
 	if _, ok := ByName("nope"); ok {
 		t.Error("bogus name found")
+	}
+	// ByName builds only the named profile; it must be the catalog's.
+	for _, want := range All() {
+		if got, ok := ByName(want.Name); !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("ByName(%q) differs from the catalog entry", want.Name)
+		}
 	}
 	if got := len(ByClass(SPECFP)); got != 13 {
 		t.Errorf("SPECFP count = %d", got)
