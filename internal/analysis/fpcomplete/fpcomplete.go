@@ -1,7 +1,8 @@
 // Package fpcomplete verifies fingerprint completeness: for every
-// concrete type with a Fingerprint() string method, every exported
-// field of its struct must be written into the hash — or carry an
-// explicit exemption:
+// concrete type with a Fingerprint() string method (or an
+// AppendFingerprint([]byte) []byte method, which appends the same
+// rendering to a buffer), every exported field of its struct must be
+// written into the hash — or carry an explicit exemption:
 //
 //	//lint:fpexempt <reason>
 //
@@ -39,7 +40,8 @@ func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv == nil || fd.Name.Name != "Fingerprint" || fd.Body == nil {
+			if !ok || fd.Recv == nil || fd.Body == nil ||
+				(fd.Name.Name != "Fingerprint" && fd.Name.Name != "AppendFingerprint") {
 				continue
 			}
 			checkFingerprint(pass, fd)
@@ -53,13 +55,10 @@ func checkFingerprint(pass *analysis.Pass, fd *ast.FuncDecl) {
 	if fn == nil {
 		return
 	}
+	if !fingerprintSignature(fn) {
+		return
+	}
 	sig := fn.Type().(*types.Signature)
-	if sig.Params().Len() != 0 || sig.Results().Len() != 1 {
-		return
-	}
-	if b, ok := sig.Results().At(0).Type().(*types.Basic); !ok || b.Kind() != types.String {
-		return
-	}
 	recv := sig.Recv()
 	if recv == nil {
 		return
@@ -87,9 +86,35 @@ func checkFingerprint(pass *analysis.Pass, fd *ast.FuncDecl) {
 			continue
 		}
 		pass.Reportf(fd.Name.Pos(),
-			"%s.Fingerprint() does not hash exported field %s: a behavior-changing field outside the fingerprint silently corrupts result-cache keys; hash it or mark it //lint:fpexempt <reason>",
-			named.Obj().Name(), f.Name())
+			"%s.%s() does not hash exported field %s: a behavior-changing field outside the fingerprint silently corrupts result-cache keys; hash it or mark it //lint:fpexempt <reason>",
+			named.Obj().Name(), fd.Name.Name, f.Name())
 	}
+}
+
+// fingerprintSignature reports whether fn renders a fingerprint:
+// Fingerprint() string, or AppendFingerprint([]byte) []byte, which
+// appends the same rendering to a buffer.
+func fingerprintSignature(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	if sig.Results().Len() != 1 {
+		return false
+	}
+	res := sig.Results().At(0).Type()
+	if fn.Name() == "Fingerprint" {
+		b, ok := res.(*types.Basic)
+		return ok && sig.Params().Len() == 0 && b.Kind() == types.String
+	}
+	return sig.Params().Len() == 1 && isBytes(res) && isBytes(sig.Params().At(0).Type())
+}
+
+// isBytes reports whether t is []byte.
+func isBytes(t types.Type) bool {
+	s, ok := t.(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().(*types.Basic)
+	return ok && b.Kind() == types.Byte
 }
 
 // coveredFields collects every field name the method body selects,

@@ -88,3 +88,25 @@ type NotAFingerprint struct {
 func (n NotAFingerprint) Fingerprint(extra string) string {
 	return extra
 }
+
+// Appender renders through AppendFingerprint, which is checked in its
+// own right; Fingerprint delegating to it covers every field.
+type Appender struct {
+	Width int
+	Depth int
+}
+
+func (a Appender) Fingerprint() string { return string(a.AppendFingerprint(nil)) }
+
+func (a Appender) AppendFingerprint(b []byte) []byte { // want `Appender.AppendFingerprint\(\) does not hash exported field Depth`
+	return append(b, byte(a.Width))
+}
+
+// NotAnAppender has the wrong signature and is left alone.
+type NotAnAppender struct {
+	Width int
+}
+
+func (n NotAnAppender) AppendFingerprint(b string) []byte {
+	return []byte(b)
+}

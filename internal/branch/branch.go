@@ -5,7 +5,10 @@
 // optimum-pipeline-depth analysis.
 package branch
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Predictor predicts conditional branch outcomes. Predict returns the
 // predicted direction for the branch at pc; Update trains the
@@ -216,15 +219,17 @@ func (c PredictorConfig) Validate() error {
 	}
 }
 
-// Fingerprint describes the predictor's kind and table size (never
-// trained state) for run manifests and cache keys, e.g.
-// "tournament/4096". Equal fingerprints build predictors that behave
-// identically on identical streams.
-func (c PredictorConfig) Fingerprint() string {
+// AppendFingerprint appends a description of the predictor's kind and
+// table size (never trained state) for run manifests and cache keys,
+// e.g. "tournament/4096". Equal descriptions build predictors that
+// behave identically on identical streams.
+func (c PredictorConfig) AppendFingerprint(b []byte) []byte {
 	if c.Kind == KindStatic {
-		return "static"
+		return append(b, "static"...)
 	}
-	return fmt.Sprintf("%s/%d", c.Kind, 1<<c.Bits)
+	entries := 1 << c.Bits
+	b = append(append(b, c.Kind...), '/')
+	return strconv.AppendInt(b, int64(entries), 10)
 }
 
 // New builds a cold predictor of the described kind; the description

@@ -177,11 +177,11 @@ func TestConfigFingerprints(t *testing.T) {
 		{Kind: KindGShare, Bits: 12}:     "gshare/4096",
 		{Kind: KindTournament, Bits: 12}: "tournament/4096",
 	} {
-		if got := c.Fingerprint(); got != want {
+		if got := string(c.AppendFingerprint(nil)); got != want {
 			t.Errorf("%+v fingerprint %q, want %q", c, got, want)
 		}
 	}
-	if got := (BTBConfig{Entries: 512, Ways: 4}).Fingerprint(); got != "btb/512/4" {
+	if got := string((BTBConfig{Entries: 512, Ways: 4}).AppendFingerprint([]byte("x"))); got != "xbtb/512/4" {
 		t.Errorf("BTB fingerprint %q", got)
 	}
 }

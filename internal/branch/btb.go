@@ -1,6 +1,9 @@
 package branch
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // BTB is a set-associative branch target buffer with true-LRU
 // replacement. The front end needs the target of a predicted-taken
@@ -42,10 +45,11 @@ func (c BTBConfig) Validate() error {
 	return nil
 }
 
-// Fingerprint describes the geometry (never contents) for run
-// manifests and cache keys, e.g. "btb/512/4".
-func (c BTBConfig) Fingerprint() string {
-	return fmt.Sprintf("btb/%d/%d", c.Entries, c.Ways)
+// AppendFingerprint appends a description of the geometry (never
+// contents) for run manifests and cache keys, e.g. "btb/512/4".
+func (c BTBConfig) AppendFingerprint(b []byte) []byte {
+	b = strconv.AppendInt(append(b, "btb/"...), int64(c.Entries), 10)
+	return strconv.AppendInt(append(b, '/'), int64(c.Ways), 10)
 }
 
 // NewBTB builds a BTB with the given number of entries (a power of

@@ -12,6 +12,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"sync/atomic"
 
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
@@ -214,23 +216,63 @@ func (b Breakdown) Mode() string {
 // Units whose attributed power is zero (non-leading merge-group
 // members) are skipped.
 func (b Breakdown) PublishAttribution(reg *telemetry.Registry, depth int, runFO4 float64) {
-	d := fmt.Sprint(depth)
-	reg.Gauge(telemetry.LabelName("power_total_watts", "mode", b.Mode(), "depth", d)).Set(b.Total())
+	names := attributionNamesFor(depth, b.Gated)
+	reg.Gauge(names.total).Set(b.Total())
 	for u := 0; u < pipeline.NumUnits; u++ {
 		if b.PerUnit[u] == 0 {
 			continue
 		}
-		un := pipeline.Unit(u).String()
-		for _, c := range [2]struct {
-			name  string
-			watts float64
-		}{{"dynamic", b.PerUnitDynamic[u]}, {"leakage", b.PerUnitLeakage[u]}} {
-			reg.Gauge(telemetry.LabelName("power_unit_power_watts",
-				"unit", un, "mode", b.Mode(), "component", c.name, "depth", d)).Set(c.watts)
-			reg.Gauge(telemetry.LabelName("power_unit_energy_joules",
-				"unit", un, "mode", b.Mode(), "component", c.name, "depth", d)).Set(c.watts * runFO4)
+		for c, watts := range [2]float64{b.PerUnitDynamic[u], b.PerUnitLeakage[u]} {
+			reg.Gauge(names.power[u][c]).Set(watts)
+			reg.Gauge(names.energy[u][c]).Set(watts * runFO4)
 		}
 	}
+}
+
+// attributionNames are the metric names PublishAttribution writes at
+// one (depth, gating mode), indexed by unit and then by component
+// (dynamic, leakage).
+type attributionNames struct {
+	total         string
+	power, energy [pipeline.NumUnits][2]string
+}
+
+// attributionTables holds the names of every simulable depth, rendered
+// on first use and then shared, [depth][gated]: every design point of
+// a sweep publishes the same names.
+var attributionTables [pipeline.MaxSimDepth + 1][2]atomic.Pointer[attributionNames]
+
+// attributionNamesFor returns the names for a depth and gating mode.
+// Racing first uses render equal tables, and either may be kept.
+func attributionNamesFor(depth int, gated bool) *attributionNames {
+	if depth < 0 || depth > pipeline.MaxSimDepth {
+		return newAttributionNames(depth, gated)
+	}
+	slot := &attributionTables[depth][0]
+	if gated {
+		slot = &attributionTables[depth][1]
+	}
+	if n := slot.Load(); n != nil {
+		return n
+	}
+	n := newAttributionNames(depth, gated)
+	slot.Store(n)
+	return n
+}
+
+func newAttributionNames(depth int, gated bool) *attributionNames {
+	mode, d := Breakdown{Gated: gated}.Mode(), strconv.Itoa(depth)
+	n := &attributionNames{total: telemetry.LabelName("power_total_watts", "mode", mode, "depth", d)}
+	for u := 0; u < pipeline.NumUnits; u++ {
+		un := pipeline.Unit(u).String()
+		for c, component := range [2]string{"dynamic", "leakage"} {
+			n.power[u][c] = telemetry.LabelName("power_unit_power_watts",
+				"unit", un, "mode", mode, "component", component, "depth", d)
+			n.energy[u][c] = telemetry.LabelName("power_unit_energy_joules",
+				"unit", un, "mode", mode, "component", component, "depth", d)
+		}
+	}
+	return n
 }
 
 // LeakageFraction returns leakage / total.

@@ -27,11 +27,14 @@ package resultcache
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
+	"syscall"
 
 	"repro/internal/pipeline"
 	"repro/internal/telemetry"
@@ -83,15 +86,21 @@ type Key struct {
 	Warmup       int
 }
 
-// Fingerprint returns the stable content address of the key.
+// Fingerprint returns the stable content address of the key. Its parts
+// are schemaTerm, "config:", "power:" and "profile:" followed by their
+// hashes, and "cell:d=<Depth> n=<Instructions> w=<Warmup>"; each is
+// rendered into a stack buffer, as every cache lookup renders a key.
 func (k Key) Fingerprint() string {
-	return telemetry.Fingerprint(
-		schemaTerm,
-		"config:"+k.ConfigHash,
-		"power:"+k.PowerHash,
-		"profile:"+k.WorkloadHash,
-		fmt.Sprintf("cell:d=%d n=%d w=%d", k.Depth, k.Instructions, k.Warmup),
-	)
+	var buf [96]byte
+	h := telemetry.NewFingerprintHash()
+	h.Part(append(buf[:0], schemaTerm...))
+	h.Part(append(append(buf[:0], "config:"...), k.ConfigHash...))
+	h.Part(append(append(buf[:0], "power:"...), k.PowerHash...))
+	h.Part(append(append(buf[:0], "profile:"...), k.WorkloadHash...))
+	b := strconv.AppendInt(append(buf[:0], "cell:d="...), int64(k.Depth), 10)
+	b = strconv.AppendInt(append(b, " n="...), int64(k.Instructions), 10)
+	h.Part(strconv.AppendInt(append(b, " w="...), int64(k.Warmup), 10))
+	return h.String()
 }
 
 // Options configures Open.
@@ -211,9 +220,11 @@ func (c *Cache) LogSummary(log *slog.Logger) {
 }
 
 // entryPath shards entries by the first byte of the fingerprint so no
-// directory grows unboundedly.
+// directory grows unboundedly. The root is already clean (Open joins
+// it) and fp is hex, so plain concatenation is the joined path.
 func (c *Cache) entryPath(fp string) string {
-	return filepath.Join(c.dir, fp[:2], fp+".entry")
+	const sep = string(filepath.Separator)
+	return c.dir + sep + fp[:2] + sep + fp + ".entry"
 }
 
 // count bumps a stats field and mirrors it to the registry. Callers
@@ -282,10 +293,28 @@ const (
 	readCorrupt             // damaged, foreign-schema or another key's entry
 )
 
+// entryReadBytes sizes the buffers disk entries are read into. An entry
+// of the default machine is about 600 bytes; one with an activity trace
+// (SampleInterval) can outgrow the buffer and is read by os.ReadFile
+// instead.
+const entryReadBytes = 1536
+
+// readBufs recycles entry read buffers. A buffer on the stack would
+// escape anyway: the CRC-32C check hands the bytes to crc32's
+// hardware update through a function value.
+var readBufs = sync.Pool{New: func() any { return new([entryReadBytes]byte) }}
+
 // readEntry loads and verifies one disk entry into a new LRU entry. It
-// touches no guarded state, so it runs without the lock.
+// touches no guarded state, so it runs without the lock. The decoder
+// copies everything it keeps, so the read buffer is recycled.
 func (c *Cache) readEntry(fp string, key Key) (*lruEntry, readOutcome) {
-	raw, err := os.ReadFile(c.entryPath(fp))
+	path := c.entryPath(fp)
+	buf := readBufs.Get().(*[entryReadBytes]byte)
+	defer readBufs.Put(buf)
+	raw, err := readSmall(path, buf[:])
+	if err == errBufferFull {
+		raw, err = os.ReadFile(path)
+	}
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, readAbsent
@@ -297,6 +326,39 @@ func (c *Cache) readEntry(fp string, key Key) (*lruEntry, readOutcome) {
 		return nil, readCorrupt
 	}
 	return e, readOK
+}
+
+// errBufferFull reports a file that filled readSmall's buffer.
+var errBufferFull = errors.New("resultcache: entry larger than the read buffer")
+
+// readSmall reads the whole file at path into buf with one open, reads
+// until end of file, and one close. It bypasses os.File, which would
+// fstat the file and try to register it with the runtime poller. A file
+// that fills buf returns errBufferFull.
+func readSmall(path string, buf []byte) ([]byte, error) {
+	const flags = syscall.O_RDONLY | syscall.O_CLOEXEC
+	fd, err := syscall.Open(path, flags, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, flags, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer syscall.Close(fd)
+	n := 0
+	for n < len(buf) {
+		m, err := syscall.Read(fd, buf[n:])
+		switch {
+		case err == syscall.EINTR:
+		case err != nil:
+			return nil, err
+		case m == 0:
+			return buf[:n], nil
+		default:
+			n += m
+		}
+	}
+	return nil, errBufferFull
 }
 
 // Put stores the measurements, which the cache then owns: callers must

@@ -3,8 +3,10 @@ package resultcache
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -468,5 +470,38 @@ func TestKeyFingerprintSensitivity(t *testing.T) {
 	}
 	if testKey(1).Fingerprint() != base.Fingerprint() {
 		t.Error("fingerprint not stable")
+	}
+}
+
+// fmtKeyFingerprint is Key.Fingerprint as it was first written, with
+// fmt: the oracle for the keys of every entry on disk.
+func fmtKeyFingerprint(k Key) string {
+	return telemetry.Fingerprint(
+		schemaTerm,
+		"config:"+k.ConfigHash,
+		"power:"+k.PowerHash,
+		"profile:"+k.WorkloadHash,
+		fmt.Sprintf("cell:d=%d n=%d w=%d", k.Depth, k.Instructions, k.Warmup),
+	)
+}
+
+func TestKeyFingerprintMatchesFmtRendering(t *testing.T) {
+	keys := []Key{{}, testKey(0), testKey(1), testKey(99)}
+	for i := range 3 {
+		k := testKey(i)
+		k.Depth, k.Instructions, k.Warmup = -i, math.MaxInt, math.MinInt
+		keys = append(keys, k)
+	}
+	// Hashes longer than the renderer's stack buffer.
+	long := strings.Repeat("0123456789abcdef", 8)
+	keys = append(keys, Key{ConfigHash: long, PowerHash: long + long, WorkloadHash: "ü", Depth: 40})
+	for _, k := range keys {
+		if got, want := k.Fingerprint(), fmtKeyFingerprint(k); got != want {
+			t.Errorf("%+v: Fingerprint %s, fmt rendering %s", k, got, want)
+		}
+	}
+	k := testKey(3)
+	if allocs := testing.AllocsPerRun(100, func() { k.Fingerprint() }); allocs != 1 {
+		t.Errorf("Key.Fingerprint allocates %v times per call, want 1 (its hex string)", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"runtime"
 	"time"
 )
@@ -73,18 +72,48 @@ func (m *Manifest) tagged() taggedManifest {
 // configuration; equal configurations hash equal across runs and
 // builds.
 func Fingerprint(parts ...string) string {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := NewFingerprintHash()
 	for _, p := range parts {
-		for i := 0; i < len(p); i++ {
-			h ^= uint64(p[i])
-			h *= prime64
-		}
-		h ^= 0xFF // separator so ("ab","c") ≠ ("a","bc")
-		h *= prime64
+		h = FingerprintHash(foldPart(uint64(h), p))
 	}
-	return fmt.Sprintf("%016x", h)
+	return h.String()
+}
+
+// FingerprintHash is Fingerprint's hash state, fed one part at a time.
+// It lets a producer render each part into a reused buffer instead of a
+// string: parts folded with Part hash exactly as the same parts passed
+// to Fingerprint.
+type FingerprintHash uint64
+
+// NewFingerprintHash returns the state of a hash of no parts.
+func NewFingerprintHash() FingerprintHash { return fnvOffset64 }
+
+// Part folds one part into the hash.
+func (h *FingerprintHash) Part(p []byte) { *h = FingerprintHash(foldPart(uint64(*h), p)) }
+
+// String renders the hash as 16 lower-case hex digits.
+func (h FingerprintHash) String() string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[h&0xF]
+		h >>= 4
+	}
+	return string(b[:])
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// foldPart folds one part's bytes and then a separator into h, so
+// ("ab","c") ≠ ("a","bc").
+func foldPart[T string | []byte](h uint64, p T) uint64 {
+	for i := 0; i < len(p); i++ {
+		h ^= uint64(p[i])
+		h *= fnvPrime64
+	}
+	h ^= 0xFF
+	return h * fnvPrime64
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -161,5 +162,46 @@ func TestPublishExpvarAndServeDebug(t *testing.T) {
 	defer srv.Close()
 	if srv.Addr() == "" {
 		t.Fatal("empty bound address")
+	}
+}
+
+// fmtFingerprint is Fingerprint as it was first written, hex rendered
+// by fmt: the oracle the fmt-free rendering must match.
+func fmtFingerprint(parts ...string) string {
+	h := uint64(14695981039346656037)
+	for _, p := range parts {
+		for i := 0; i < len(p); i++ {
+			h ^= uint64(p[i])
+			h *= 1099511628211
+		}
+		h ^= 0xFF
+		h *= 1099511628211
+	}
+	return fmt.Sprintf("%016x", h)
+}
+
+func TestFingerprintMatchesFmtRendering(t *testing.T) {
+	long := strings.Repeat("x/", 300)
+	for _, parts := range [][]string{
+		nil, {}, {""}, {"", ""}, {"a"}, {"ab", "c"}, {"a", "bc"},
+		{"width=4", "depth=10"}, {long, "\x00\xff", "ünïcode"},
+	} {
+		want := fmtFingerprint(parts...)
+		if got := Fingerprint(parts...); got != want {
+			t.Errorf("Fingerprint(%q) = %s, fmt rendering %s", parts, got, want)
+		}
+		h := NewFingerprintHash()
+		for _, p := range parts {
+			h.Part([]byte(p))
+		}
+		if got := h.String(); got != want {
+			t.Errorf("parts %q folded one by one = %s, want %s", parts, got, want)
+		}
+	}
+	// Short hashes keep their leading zeros.
+	for _, v := range []uint64{0, 1, 0xabc, 1 << 60, 1<<64 - 1} {
+		if got, want := FingerprintHash(v).String(), fmt.Sprintf("%016x", v); got != want {
+			t.Errorf("FingerprintHash(%#x) = %s, want %s", v, got, want)
+		}
 	}
 }
